@@ -173,14 +173,7 @@ fn main() {
             steps,
         )
     };
-    let conv = |steps| {
-        time_steps(
-            models::vgg_s_nano(11),
-            SparseDropBack::new(4_000),
-            &cifar,
-            steps,
-        )
-    };
+    let conv = |steps| time_steps(models::vgg_s_nano(11), DropBack::new(4_000), &cifar, steps);
     pool::set_threads(1);
     let mlp_serial = mlp(steps);
     let conv_serial = conv(steps.div_ceil(2));

@@ -341,10 +341,10 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), CliError> {
     });
     let mut store = checkpoint_store_from_flags(flags)?;
     let trainer = Trainer::new(cfg);
-    // Use the sparse rule when a budget is set so a checkpoint can be cut.
+    // Train DropBack when a budget is set so a checkpoint can be cut.
     if budget > 0 && budget < params {
         let freeze = get(flags, "freeze", epochs / 2)?;
-        let mut opt = SparseDropBack::new(budget).freeze_after(freeze.max(1));
+        let mut opt = DropBack::new(budget).freeze_after(freeze.max(1));
         let report = run_with_store(
             &trainer,
             &mut net,
@@ -355,9 +355,9 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), CliError> {
         )?;
         let result = Event::new("result")
             .with("model", model_name.as_str())
-            .with("optimizer", "dropback-sparse")
+            .with("optimizer", opt.name())
             .with("params", params)
-            .with("stored_weights", opt.storage_entries())
+            .with("stored_weights", opt.tracked_count())
             .with("compression", params as f32 / budget as f32)
             .with(
                 "val_acc",
@@ -365,7 +365,7 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), CliError> {
             );
         println!("{}", result.to_json().render());
         if let Some(path) = flags.get("checkpoint") {
-            let ckpt = Checkpoint::from_sparse(&net, &opt);
+            let ckpt = Checkpoint::new(net.store().seed(), opt.tracked(net.store()));
             let file = std::fs::File::create(path).map_err(|e| e.to_string())?;
             ckpt.write_to(file).map_err(|e| e.to_string())?;
             eprintln!("wrote {path} ({} bytes)", ckpt.size_bytes());

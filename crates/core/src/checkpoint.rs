@@ -11,8 +11,8 @@
 //! [`CheckpointError`] type; see `docs/CHECKPOINTS.md` for the byte
 //! layouts and recovery semantics.
 
-use dropback_nn::Network;
-use dropback_optim::{SparseDropBack, StateError};
+use dropback_nn::{Network, TrackedError, TrackedSet};
+use dropback_optim::StateError;
 use std::fmt;
 use std::io::{self, Read, Write};
 
@@ -41,13 +41,6 @@ pub enum CheckpointError {
         /// Seed recorded in the checkpoint.
         found: u64,
     },
-    /// A mask or state vector has the wrong length for the target network.
-    LengthMismatch {
-        /// Length the network requires.
-        expected: usize,
-        /// Length that was provided.
-        found: usize,
-    },
     /// A stored weight index does not exist in the target network.
     IndexOutOfRange {
         /// The offending index.
@@ -69,10 +62,6 @@ impl fmt::Display for CheckpointError {
                 f,
                 "checkpoint seed {found} does not match network seed {expected}; \
                  rebuild the network with the checkpoint's seed"
-            ),
-            CheckpointError::LengthMismatch { expected, found } => write!(
-                f,
-                "length mismatch: got {found}, network has {expected} parameters"
             ),
             CheckpointError::IndexOutOfRange { index, len } => write!(
                 f,
@@ -104,6 +93,19 @@ impl From<StateError> for CheckpointError {
     }
 }
 
+impl From<TrackedError> for CheckpointError {
+    fn from(e: TrackedError) -> Self {
+        match e {
+            TrackedError::OutOfRange { index, len } => {
+                CheckpointError::IndexOutOfRange { index, len }
+            }
+            unordered @ TrackedError::Unordered { .. } => {
+                CheckpointError::InvalidData(unordered.to_string())
+            }
+        }
+    }
+}
+
 impl CheckpointError {
     /// Whether this error means *the bytes on disk are bad* (truncation,
     /// bit-rot, torn write) rather than a caller mistake. Corruption is
@@ -121,46 +123,14 @@ impl CheckpointError {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
     seed: u64,
-    entries: Vec<(u64, f32)>,
+    entries: TrackedSet,
 }
 
 impl Checkpoint {
-    /// Captures a checkpoint from a network trained with
-    /// [`SparseDropBack`] (whose tracked map *is* the stored model).
-    pub fn from_sparse(net: &Network, opt: &SparseDropBack) -> Self {
-        // The tracked map is a BTreeMap, so this iteration is already in
-        // ascending index order — the checkpoint's canonical layout.
-        let entries: Vec<(u64, f32)> = opt.tracked().iter().map(|(&i, &w)| (i as u64, w)).collect();
-        Self {
-            seed: net.store().seed(),
-            entries,
-        }
-    }
-
-    /// Captures a checkpoint from a dense store plus a tracked mask
-    /// (e.g. [`dropback_optim::DropBack::mask`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError::LengthMismatch`] if `mask.len()` differs
-    /// from the parameter count.
-    pub fn from_mask(net: &Network, mask: &[bool]) -> Result<Self, CheckpointError> {
-        if mask.len() != net.num_params() {
-            return Err(CheckpointError::LengthMismatch {
-                expected: net.num_params(),
-                found: mask.len(),
-            });
-        }
-        let entries: Vec<(u64, f32)> = mask
-            .iter()
-            .enumerate()
-            .filter(|(_, &m)| m)
-            .map(|(i, _)| (i as u64, net.store().params()[i]))
-            .collect();
-        Ok(Self {
-            seed: net.store().seed(),
-            entries,
-        })
+    /// A checkpoint of the model with init seed `seed` whose stored
+    /// weights are `entries` (e.g. [`dropback_optim::DropBack::tracked`]).
+    pub fn new(seed: u64, entries: TrackedSet) -> Self {
+        Self { seed, entries }
     }
 
     /// The regeneration seed.
@@ -183,9 +153,9 @@ impl Checkpoint {
         MAGIC.len() + 8 + 8 + self.entries.len() * 12
     }
 
-    /// Restores the tracked weights into a freshly-constructed network.
-    /// The network **must** have been built with the same architecture and
-    /// seed; untracked weights are already correct by regeneration.
+    /// Restores the model into `net`, which **must** have the checkpoint's
+    /// architecture and seed: every weight is reset to its regenerated
+    /// init value, then the stored entries are written over it.
     ///
     /// # Errors
     ///
@@ -200,16 +170,7 @@ impl Checkpoint {
                 found: self.seed,
             });
         }
-        let n = net.num_params();
-        // Validate every index before the first write so a bad checkpoint
-        // cannot leave the network half-applied.
-        if let Some(&(bad, _)) = self.entries.iter().find(|&&(i, _)| i as usize >= n) {
-            return Err(CheckpointError::IndexOutOfRange { index: bad, len: n });
-        }
-        for &(i, w) in &self.entries {
-            net.store_mut().params_mut()[i as usize] = w;
-        }
-        Ok(())
+        Ok(self.entries.overlay(net.store_mut())?)
     }
 
     /// Writes the checkpoint (little-endian binary).
@@ -221,7 +182,7 @@ impl Checkpoint {
         w.write_all(MAGIC)?;
         w.write_all(&self.seed.to_le_bytes())?;
         w.write_all(&(self.entries.len() as u64).to_le_bytes())?;
-        for &(i, v) in &self.entries {
+        for &(i, v) in self.entries.entries() {
             w.write_all(&i.to_le_bytes())?;
             w.write_all(&v.to_le_bytes())?;
         }
@@ -238,7 +199,8 @@ impl Checkpoint {
     ///
     /// # Errors
     ///
-    /// Returns [`CheckpointError::InvalidData`] on a bad magic header and
+    /// Returns [`CheckpointError::InvalidData`] on a bad magic header or
+    /// entries that are not strictly ascending by index, and
     /// [`CheckpointError::Io`] (`UnexpectedEof`) on a truncated stream.
     pub fn read_from(mut r: impl Read) -> Result<Self, CheckpointError> {
         let mut magic = [0u8; 8];
@@ -264,7 +226,10 @@ impl Checkpoint {
             r.read_exact(&mut b4)?;
             entries.push((i, f32::from_le_bytes(b4)));
         }
-        Ok(Self { seed, entries })
+        Ok(Self {
+            seed,
+            entries: TrackedSet::from_entries(entries)?,
+        })
     }
 }
 
@@ -273,12 +238,12 @@ mod tests {
     use super::*;
     use dropback_data::synthetic_mnist;
     use dropback_nn::models;
-    use dropback_optim::Optimizer as _;
+    use dropback_optim::{DropBack, Optimizer as _};
 
-    fn trained() -> (Network, SparseDropBack) {
+    fn trained() -> (Network, DropBack) {
         let (train, _) = synthetic_mnist(300, 50, 5);
         let mut net = models::mnist_100_100(5);
-        let mut opt = SparseDropBack::new(4_000);
+        let mut opt = DropBack::new(4_000);
         let batcher = dropback_data::Batcher::new(64, 1);
         for (x, labels) in batcher.epoch(&train, 0) {
             let _ = net.loss_backward(&x, &labels);
@@ -287,10 +252,14 @@ mod tests {
         (net, opt)
     }
 
+    fn checkpoint(net: &Network, opt: &DropBack) -> Checkpoint {
+        Checkpoint::new(net.store().seed(), opt.tracked(net.store()))
+    }
+
     #[test]
     fn roundtrip_through_bytes_is_bit_exact() {
         let (net, opt) = trained();
-        let ckpt = Checkpoint::from_sparse(&net, &opt);
+        let ckpt = checkpoint(&net, &opt);
         let mut buf = Vec::new();
         ckpt.write_to(&mut buf).unwrap();
         assert_eq!(buf.len(), ckpt.size_bytes());
@@ -305,41 +274,16 @@ mod tests {
     #[test]
     fn checkpoint_is_small() {
         let (net, opt) = trained();
-        let ckpt = Checkpoint::from_sparse(&net, &opt);
-        assert!(ckpt.len() <= 4_000);
+        let ckpt = checkpoint(&net, &opt);
+        assert_eq!(ckpt.len(), 4_000);
         // 89,610 f32s dense = 358 KB; 4k entries = 48 KB + header.
         assert!(ckpt.size_bytes() < 50_000);
     }
 
     #[test]
-    fn from_mask_matches_from_sparse() {
-        let (net, opt) = trained();
-        let from_sparse = Checkpoint::from_sparse(&net, &opt);
-        let mut mask = vec![false; net.num_params()];
-        for &i in opt.tracked().keys() {
-            mask[i] = true;
-        }
-        let from_mask = Checkpoint::from_mask(&net, &mask).unwrap();
-        assert_eq!(from_sparse, from_mask);
-    }
-
-    #[test]
-    fn bad_mask_length_is_a_typed_error() {
-        let (net, _) = trained();
-        let err = Checkpoint::from_mask(&net, &[true; 3]).unwrap_err();
-        match err {
-            CheckpointError::LengthMismatch { expected, found } => {
-                assert_eq!(expected, net.num_params());
-                assert_eq!(found, 3);
-            }
-            other => panic!("wrong error: {other}"),
-        }
-    }
-
-    #[test]
     fn wrong_seed_is_a_typed_error_not_a_panic() {
         let (net, opt) = trained();
-        let ckpt = Checkpoint::from_sparse(&net, &opt);
+        let ckpt = checkpoint(&net, &opt);
         let mut other = models::mnist_100_100(999);
         let before = other.store().params().to_vec();
         let err = ckpt.apply(&mut other).unwrap_err();
@@ -352,15 +296,28 @@ mod tests {
     #[test]
     fn out_of_range_index_is_rejected_before_any_write() {
         let (net, _) = trained();
-        let ckpt = Checkpoint {
-            seed: net.store().seed(),
-            entries: vec![(0, 1.0), (u64::MAX, 2.0)],
-        };
+        let entries = TrackedSet::from_entries(vec![(0, 1.0), (u64::MAX, 2.0)]).unwrap();
+        let ckpt = Checkpoint::new(net.store().seed(), entries);
         let mut target = models::mnist_100_100(5);
         let before = target.store().params().to_vec();
         let err = ckpt.apply(&mut target).unwrap_err();
         assert!(matches!(err, CheckpointError::IndexOutOfRange { .. }));
         assert_eq!(target.store().params(), &before[..], "partial apply");
+    }
+
+    #[test]
+    fn unordered_entries_are_invalid_data() {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&7u64.to_le_bytes());
+        buf.extend_from_slice(&2u64.to_le_bytes());
+        for i in [5u64, 5] {
+            buf.extend_from_slice(&i.to_le_bytes());
+            buf.extend_from_slice(&1.0f32.to_le_bytes());
+        }
+        let err = Checkpoint::read_from(&buf[..]).unwrap_err();
+        assert!(matches!(err, CheckpointError::InvalidData(_)), "{err}");
+        assert!(err.to_string().contains("strictly ascending"));
     }
 
     #[test]
@@ -373,7 +330,7 @@ mod tests {
     #[test]
     fn truncated_stream_is_an_error() {
         let (net, opt) = trained();
-        let ckpt = Checkpoint::from_sparse(&net, &opt);
+        let ckpt = checkpoint(&net, &opt);
         let mut buf = Vec::new();
         ckpt.write_to(&mut buf).unwrap();
         buf.truncate(buf.len() - 3);

@@ -319,7 +319,7 @@ mod tests {
     use super::*;
     use crate::train_state::TrainProgress;
     use dropback_nn::models;
-    use dropback_optim::{Optimizer, SparseDropBack};
+    use dropback_optim::{DropBack, Optimizer};
     use std::io::{Read, Seek, SeekFrom};
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -330,7 +330,7 @@ mod tests {
 
     fn snapshot_at(epoch: usize) -> TrainState {
         let mut net = models::mnist_100_100(11);
-        let mut opt = SparseDropBack::new(500);
+        let mut opt = DropBack::new(500);
         opt.step(net.store_mut(), 0.0);
         // Perturb a few weights so the snapshot has entries.
         for i in 0..8 {

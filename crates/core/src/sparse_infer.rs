@@ -8,18 +8,17 @@
 //! CPU); this module shows the dense view is unnecessary and counts the
 //! traffic the energy model charges for.
 //!
-//! The tracked map is a `BTreeMap` to match
-//! [`dropback_optim::SparseDropBack::tracked`]: index-ordered iteration
-//! keeps every walk over the stored weights reproducible, which the
-//! `dropback-lint` `hash-iteration` rule checks mechanically.
+//! The stored weights arrive as a [`TrackedSet`], sorted by index. Each
+//! layer keeps its own contiguous sub-slice and, because a forward pass
+//! visits a layer's weights in ascending index order, walks it with a
+//! forward cursor: one comparison per weight, no tree lookups.
 //!
 //! Shape errors surface as [`StreamError`] values rather than panics so a
 //! caller wiring up a model zoo entry gets an actionable message instead
 //! of a backtrace.
 
-use dropback_nn::{ParamRange, ParamStore};
+use dropback_nn::{InitScheme, ParamRange, ParamStore, TrackedSet};
 use dropback_tensor::{pool, Tensor};
-use std::collections::BTreeMap;
 
 /// Output-neuron chunk size for the pooled batched forward. Fixed by
 /// problem shape — never by thread count — so the partitioning (and the
@@ -103,8 +102,45 @@ pub struct StreamStats {
     pub regens: u64,
 }
 
-/// A fully-connected layer evaluated by streaming weights from a sparse
-/// tracked map plus regeneration — never holding the dense matrix.
+/// Forward cursor over one layer's tracked entries (ascending by index):
+/// asked for strictly increasing global indices, it returns the stored
+/// value where one exists and regenerates every other weight.
+struct Cursor<'a> {
+    entries: &'a [(u64, f32)],
+    pos: usize,
+    scheme: InitScheme,
+    seed: u64,
+}
+
+impl<'a> Cursor<'a> {
+    /// A cursor whose first request will be for global index `first`.
+    fn new(entries: &'a [(u64, f32)], first: usize, scheme: InitScheme, seed: u64) -> Self {
+        let pos = entries.partition_point(|&(i, _)| i < first as u64);
+        Self {
+            entries,
+            pos,
+            scheme,
+            seed,
+        }
+    }
+
+    fn weight(&mut self, gidx: usize, stats: &mut StreamStats) -> f32 {
+        match self.entries.get(self.pos) {
+            Some(&(i, w)) if i == gidx as u64 => {
+                self.pos += 1;
+                stats.stored_reads += 1;
+                w
+            }
+            _ => {
+                stats.regens += 1;
+                self.scheme.value(self.seed, gidx as u64)
+            }
+        }
+    }
+}
+
+/// A fully-connected layer evaluated by streaming weights from its tracked
+/// entries plus regeneration — never holding the dense matrix.
 #[derive(Debug, Clone)]
 pub struct StreamingLinear {
     seed: u64,
@@ -112,14 +148,17 @@ pub struct StreamingLinear {
     bias: Option<ParamRange>,
     in_dim: usize,
     out_dim: usize,
-    tracked: BTreeMap<usize, f32>,
+    /// Tracked entries inside the weight range, ascending by index.
+    weights: Vec<(u64, f32)>,
+    /// Tracked entries inside the bias range, ascending by index.
+    biases: Vec<(u64, f32)>,
 }
 
 impl StreamingLinear {
     /// Builds a streaming evaluator for the linear layer whose ranges are
     /// `weight` (length `in_dim * out_dim`, row-major `[out, in]`) and
-    /// optional `bias`, with tracked entries taken from `tracked`
-    /// (global-index keyed, e.g. [`dropback_optim::SparseDropBack::tracked`]).
+    /// optional `bias`, with this layer's stored weights taken from
+    /// `tracked` (global-index keyed, e.g. [`dropback_optim::DropBack::tracked`]).
     ///
     /// # Errors
     ///
@@ -131,7 +170,7 @@ impl StreamingLinear {
         bias: Option<ParamRange>,
         in_dim: usize,
         out_dim: usize,
-        tracked: &BTreeMap<usize, f32>,
+        tracked: &TrackedSet,
     ) -> Result<Self, StreamError> {
         if weight.len() != in_dim * out_dim {
             return Err(StreamError::ShapeMismatch {
@@ -142,30 +181,25 @@ impl StreamingLinear {
             });
         }
         // Keep only this layer's entries (weight and bias ranges).
-        let in_weight = |i: usize| i >= weight.start() && i < weight.end();
-        let in_bias = |i: usize| {
-            bias.as_ref()
-                .map(|b| i >= b.start() && i < b.end())
-                .unwrap_or(false)
-        };
-        let mine: BTreeMap<usize, f32> = tracked
-            .iter()
-            .filter(|(&i, _)| in_weight(i) || in_bias(i))
-            .map(|(&i, &w)| (i, w))
-            .collect();
+        let weights = tracked.within(weight.start(), weight.end()).to_vec();
+        let biases = bias
+            .as_ref()
+            .map_or(&[][..], |b| tracked.within(b.start(), b.end()))
+            .to_vec();
         Ok(Self {
             seed,
             weight,
             bias,
             in_dim,
             out_dim,
-            tracked: mine,
+            weights,
+            biases,
         })
     }
 
     /// Number of tracked (stored) weights this layer carries.
     pub fn stored(&self) -> usize {
-        self.tracked.len()
+        self.weights.len() + self.biases.len()
     }
 
     /// Forward pass `y = x·Wᵀ (+ b)` with on-demand weights; returns the
@@ -178,8 +212,8 @@ impl StreamingLinear {
     /// per-neuron accumulation order is fixed by problem shape alone, so
     /// results are bit-identical at any thread count.
     ///
-    /// The tracked map and the bias (when present) are the only stored
-    /// values consulted; everything else is regenerated per use.
+    /// The layer's tracked entries are the only stored values consulted;
+    /// everything else is regenerated per use.
     ///
     /// # Errors
     ///
@@ -204,20 +238,12 @@ impl StreamingLinear {
             let o_hi = (o_lo + OUT_CHUNK).min(self.out_dim);
             let mut part = vec![0.0f32; (o_hi - o_lo) * n];
             let mut pstats = StreamStats::default();
+            let first = self.weight.start() + o_lo * self.in_dim;
+            let mut cursor = Cursor::new(&self.weights, first, scheme, self.seed);
             for o in o_lo..o_hi {
                 let col = &mut part[(o - o_lo) * n..(o - o_lo + 1) * n];
                 for i in 0..self.in_dim {
-                    let gidx = self.weight.start() + o * self.in_dim + i;
-                    let w = match self.tracked.get(&gidx) {
-                        Some(&w) => {
-                            pstats.stored_reads += 1;
-                            w
-                        }
-                        None => {
-                            pstats.regens += 1;
-                            scheme.value(self.seed, gidx as u64)
-                        }
-                    };
+                    let w = cursor.weight(first + (o - o_lo) * self.in_dim + i, &mut pstats);
                     if w == 0.0 {
                         continue;
                     }
@@ -240,19 +266,9 @@ impl StreamingLinear {
         }
         // Bias values are constants at init; tracked entries override.
         if let Some(b) = &self.bias {
-            let bscheme = b.scheme();
+            let mut cursor = Cursor::new(&self.biases, b.start(), b.scheme(), self.seed);
             for o in 0..self.out_dim {
-                let gidx = b.start() + o;
-                let bv = match self.tracked.get(&gidx) {
-                    Some(&v) => {
-                        stats.stored_reads += 1;
-                        v
-                    }
-                    None => {
-                        stats.regens += 1;
-                        bscheme.value(self.seed, gidx as u64)
-                    }
-                };
+                let bv = cursor.weight(b.start() + o, &mut stats);
                 for r in 0..n {
                     out[r * self.out_dim + o] += bv;
                 }
@@ -263,15 +279,15 @@ impl StreamingLinear {
 }
 
 /// A whole MLP prebuilt for repeated streaming inference: every layer's
-/// tracked entries are filtered once at construction, so a server can
-/// evaluate thousands of micro-batches without re-walking the tracked map
+/// tracked entries are sliced out once at construction, so a server can
+/// evaluate thousands of micro-batches without re-walking the tracked set
 /// or re-discovering parameter ranges per request.
 ///
 /// Layers follow the model zoo's `fcN.weight`/`fcN.bias` naming; ReLU is
 /// applied between layers (not after the last). Dimensions are inferred
 /// from each weight's paired bias range (`out_dim = bias.len()`), so the
-/// evaluator is self-contained given only a [`ParamStore`] and a tracked
-/// map — exactly what a `(seed, k entries)` checkpoint reconstructs.
+/// evaluator is self-contained given only a [`ParamStore`] and a
+/// [`TrackedSet`] — exactly what a `(seed, k entries)` checkpoint holds.
 #[derive(Debug, Clone)]
 pub struct StreamingModel {
     layers: Vec<StreamingLinear>,
@@ -290,7 +306,7 @@ impl StreamingModel {
     /// paired bias needed to infer its dimensions, and
     /// [`StreamError::ShapeMismatch`] if a weight length is not divisible
     /// by its bias length.
-    pub fn new(ps: &ParamStore, tracked: &BTreeMap<usize, f32>) -> Result<Self, StreamError> {
+    pub fn new(ps: &ParamStore, tracked: &TrackedSet) -> Result<Self, StreamError> {
         let weights: Vec<ParamRange> = ps
             .ranges()
             .iter()
@@ -394,7 +410,7 @@ impl StreamingModel {
 /// ranges, and propagates shape errors from [`StreamingModel`].
 pub fn stream_mlp_forward(
     ps: &ParamStore,
-    tracked: &BTreeMap<usize, f32>,
+    tracked: &TrackedSet,
     x: &Tensor,
 ) -> Result<(Tensor, StreamStats), StreamError> {
     StreamingModel::new(ps, tracked)?.forward(x)
@@ -405,13 +421,13 @@ mod tests {
     use super::*;
     use dropback_data::{synthetic_mnist, Batcher};
     use dropback_nn::{models, Mode};
-    use dropback_optim::{Optimizer as _, SparseDropBack};
+    use dropback_optim::{DropBack, Optimizer as _};
 
     #[test]
     fn streaming_matches_dense_forward_exactly() {
         let (train, test) = synthetic_mnist(400, 64, 13);
         let mut net = models::mnist_100_100(13);
-        let mut opt = SparseDropBack::new(6_000);
+        let mut opt = DropBack::new(6_000);
         let batcher = Batcher::new(64, 3);
         for (x, labels) in batcher.epoch(&train, 0) {
             let _ = net.loss_backward(&x, &labels);
@@ -419,8 +435,8 @@ mod tests {
         }
         let (x, _) = test.batch(0, 16);
         let dense = net.forward(&x, Mode::Eval);
-        let (streamed, stats) =
-            stream_mlp_forward(net.store(), opt.tracked(), &x).expect("zoo MLP streams");
+        let (streamed, stats) = stream_mlp_forward(net.store(), &opt.tracked(net.store()), &x)
+            .expect("zoo MLP streams");
         assert_eq!(dense.shape(), streamed.shape());
         for (a, b) in dense.data().iter().zip(streamed.data()) {
             assert!((a - b).abs() < 1e-3, "{a} vs {b}");
@@ -428,13 +444,13 @@ mod tests {
         // All 89,610 weights touched exactly once, split between stored
         // and regenerated.
         assert_eq!(stats.stored_reads + stats.regens, 89_610);
-        assert!(stats.stored_reads <= 6_000);
+        assert_eq!(stats.stored_reads, 6_000);
     }
 
     #[test]
     fn untrained_model_streams_with_zero_stored_reads() {
         let net = models::mnist_100_100(29);
-        let empty = BTreeMap::new();
+        let empty = TrackedSet::default();
         let x = Tensor::filled(vec![2, 784], 0.1);
         let (y, stats) = stream_mlp_forward(net.store(), &empty, &x).expect("zoo MLP streams");
         assert_eq!(y.shape(), &[2, 10]);
@@ -452,7 +468,7 @@ mod tests {
     fn dimension_mismatch_is_an_actionable_error() {
         let net = models::mnist_100_100(1);
         let w = net.param_ranges()[0].clone();
-        let err = StreamingLinear::new(1, w, None, 10, 10, &BTreeMap::new())
+        let err = StreamingLinear::new(1, w, None, 10, 10, &TrackedSet::default())
             .expect_err("78400 values cannot be a 10x10 layer");
         let msg = err.to_string();
         assert!(msg.contains("10x10"), "mentions requested dims: {msg}");
@@ -463,7 +479,8 @@ mod tests {
     fn input_shape_mismatch_is_an_actionable_error() {
         let net = models::mnist_100_100(2);
         let w = net.param_ranges()[0].clone();
-        let layer = StreamingLinear::new(2, w, None, 784, 100, &BTreeMap::new()).expect("fc1");
+        let layer =
+            StreamingLinear::new(2, w, None, 784, 100, &TrackedSet::default()).expect("fc1");
         let bad = Tensor::filled(vec![2, 3], 0.0);
         let err = layer.forward(&bad).expect_err("wrong input width");
         assert_eq!(
@@ -480,16 +497,17 @@ mod tests {
     fn batched_forward_is_bit_identical_to_per_sample_calls() {
         let (train, test) = synthetic_mnist(300, 48, 41);
         let mut net = models::mnist_100_100(41);
-        let mut opt = SparseDropBack::new(5_000);
+        let mut opt = DropBack::new(5_000);
         let batcher = Batcher::new(48, 1);
         for (x, labels) in batcher.epoch(&train, 0) {
             let _ = net.loss_backward(&x, &labels);
             opt.step(net.store_mut(), 0.1);
         }
-        let model = StreamingModel::new(net.store(), opt.tracked()).expect("zoo MLP streams");
+        let model =
+            StreamingModel::new(net.store(), &opt.tracked(net.store())).expect("zoo MLP streams");
         assert_eq!(model.in_dim(), 784);
         assert_eq!(model.out_dim(), 10);
-        assert!(model.stored() <= 5_000);
+        assert_eq!(model.stored(), 5_000);
         let (x, _) = test.batch(0, 8);
         let (batched, _) = model.forward(&x).expect("batched forward");
         // Evaluate each row alone through the same model; the micro-batch
@@ -515,7 +533,8 @@ mod tests {
     #[test]
     fn streaming_model_is_thread_count_invariant() {
         let net = models::mnist_100_100(57);
-        let model = StreamingModel::new(net.store(), &BTreeMap::new()).expect("zoo MLP streams");
+        let model =
+            StreamingModel::new(net.store(), &TrackedSet::default()).expect("zoo MLP streams");
         let x = Tensor::filled(vec![3, 784], 0.05);
         let before = dropback_tensor::pool::threads();
         let run = |t: usize| {
@@ -536,7 +555,8 @@ mod tests {
     fn biasless_weight_range_reports_unknown_dims() {
         let mut ps = ParamStore::new(3);
         let _ = ps.register("solo.weight", 12, dropback_nn::InitScheme::Constant(0.0));
-        let err = StreamingModel::new(&ps, &BTreeMap::new()).expect_err("no bias to infer dims");
+        let err =
+            StreamingModel::new(&ps, &TrackedSet::default()).expect_err("no bias to infer dims");
         assert_eq!(
             err,
             StreamError::UnknownDims {
@@ -550,7 +570,8 @@ mod tests {
     fn empty_store_reports_no_weights() {
         let ps = ParamStore::new(7);
         let x = Tensor::filled(vec![1, 4], 0.0);
-        let err = stream_mlp_forward(&ps, &BTreeMap::new(), &x).expect_err("nothing to stream");
+        let err =
+            stream_mlp_forward(&ps, &TrackedSet::default(), &x).expect_err("nothing to stream");
         assert_eq!(err, StreamError::NoWeights);
         assert!(err.to_string().contains("no `*.weight` ranges"));
     }

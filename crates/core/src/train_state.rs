@@ -8,7 +8,7 @@
 //! * parameter deltas — every weight whose IEEE-754 bits differ from its
 //!   regenerated init value (≤ `k` entries for DropBack rules, all `n`
 //!   for dense baselines);
-//! * the optimizer's [`OptState`] (tracked map / mask, momentum,
+//! * the optimizer's [`OptState`] (tracked mask, momentum,
 //!   counters) via [`dropback_optim::Optimizer::snapshot_state`];
 //! * loop bookkeeping — epoch/iteration counters, shuffle seed,
 //!   best-validation/patience state, and the per-epoch history so the
@@ -30,7 +30,7 @@
 use crate::checkpoint::CheckpointError;
 use crate::crc::crc32;
 use crate::report::EpochStats;
-use dropback_nn::Network;
+use dropback_nn::{Network, TrackedSet};
 use dropback_optim::{OptState, Optimizer, StateField};
 use std::io::{Read, Write};
 
@@ -93,8 +93,8 @@ pub struct TrainState {
     /// shuffle order would silently break bit-identity).
     pub shuffle_seed: u64,
     /// Parameter deltas: `(index, value)` for every weight whose bits
-    /// differ from `regen(init_seed, index)`, in ascending index order.
-    pub entries: Vec<(u64, f32)>,
+    /// differ from `regen(init_seed, index)`.
+    pub entries: TrackedSet,
     /// Optimizer accumulators and counters.
     pub opt_state: OptState,
     /// Loop bookkeeping.
@@ -109,20 +109,12 @@ impl TrainState {
         shuffle_seed: u64,
         progress: &TrainProgress,
     ) -> Self {
-        let store = net.store();
-        let entries: Vec<(u64, f32)> = store
-            .params()
-            .iter()
-            .enumerate()
-            .filter(|&(i, p)| p.to_bits() != store.init_value(i).to_bits())
-            .map(|(i, &p)| (i as u64, p))
-            .collect();
         Self {
             model: net.name().to_string(),
             optimizer: optimizer.name().to_string(),
-            init_seed: store.seed(),
+            init_seed: net.store().seed(),
             shuffle_seed,
-            entries,
+            entries: TrackedSet::deltas(net.store()),
             opt_state: optimizer.snapshot_state(),
             progress: progress.clone(),
         }
@@ -130,8 +122,9 @@ impl TrainState {
 
     /// Restores the snapshot into a freshly-constructed network and
     /// optimizer, returning the loop bookkeeping to resume from. The
-    /// network's parameters are reset to their regenerated init values
-    /// first, so the call is correct even on a partially-trained network.
+    /// entries are overlaid on the regenerated init values
+    /// ([`TrackedSet::overlay`]), so the call is correct even on a
+    /// partially-trained network.
     ///
     /// # Errors
     ///
@@ -173,18 +166,11 @@ impl TrainState {
                 optimizer.name()
             )));
         }
-        let n = net.num_params();
-        if let Some(&(bad, _)) = self.entries.iter().find(|&&(i, _)| i as usize >= n) {
-            return Err(CheckpointError::IndexOutOfRange { index: bad, len: n });
-        }
-        if let Some(bad) = self.opt_state.max_pair_index().filter(|&i| i as usize >= n) {
-            return Err(CheckpointError::IndexOutOfRange { index: bad, len: n });
-        }
+        // Bounds first, so a bad snapshot leaves the optimizer untouched
+        // too, not just the network.
+        self.entries.check_bounds(net.num_params())?;
         optimizer.restore_state(&self.opt_state)?;
-        net.store_mut().reset();
-        for &(i, w) in &self.entries {
-            net.store_mut().params_mut()[i as usize] = w;
-        }
+        self.entries.overlay(net.store_mut())?;
         Ok(self.progress.clone())
     }
 
@@ -214,7 +200,8 @@ impl TrainState {
     /// Returns [`CheckpointError::InvalidData`] on bad magic, an
     /// over-long declared payload, a CRC mismatch, or any internal length
     /// field that exceeds the bytes actually present; truncation surfaces
-    /// as `InvalidData` or an `UnexpectedEof` I/O error. All of these
+    /// as `InvalidData` or an `UnexpectedEof` I/O error, and so do
+    /// parameter entries that are not strictly ascending. All of these
     /// satisfy [`CheckpointError::is_corruption`].
     pub fn read_from(mut r: impl Read) -> Result<Self, CheckpointError> {
         let mut magic = [0u8; 8];
@@ -267,7 +254,7 @@ impl TrainState {
         put_str(&mut out, &self.model);
         put_str(&mut out, &self.optimizer);
         put_u64(&mut out, self.entries.len() as u64);
-        for &(i, v) in &self.entries {
+        for &(i, v) in self.entries.entries() {
             put_u64(&mut out, i);
             put_f32(&mut out, v);
         }
@@ -335,6 +322,7 @@ impl TrainState {
             let v = rd.f32()?;
             entries.push((i, v));
         }
+        let entries = TrackedSet::from_entries(entries)?;
         let n_history = rd.count(28, "history records")?;
         let mut history = Vec::with_capacity(n_history);
         for _ in 0..n_history {
@@ -524,12 +512,12 @@ mod tests {
     use super::*;
     use dropback_data::synthetic_mnist;
     use dropback_nn::models;
-    use dropback_optim::{SgdMomentum, SparseDropBack};
+    use dropback_optim::{DropBack, SgdMomentum};
 
-    fn trained_snapshot() -> (Network, SparseDropBack, TrainState) {
+    fn trained_snapshot() -> (Network, DropBack, TrainState) {
         let (train, _) = synthetic_mnist(200, 40, 9);
         let mut net = models::mnist_100_100(9);
-        let mut opt = SparseDropBack::new(3_000).freeze_after(2);
+        let mut opt = DropBack::new(3_000).freeze_after(2);
         let batcher = dropback_data::Batcher::new(64, 0x5EED);
         let mut iteration = 0u64;
         for (x, labels) in batcher.epoch(&train, 0) {
@@ -571,10 +559,10 @@ mod tests {
     fn restore_reconstructs_params_and_optimizer() {
         let (net, opt, state) = trained_snapshot();
         let mut net2 = models::mnist_100_100(9);
-        let mut opt2 = SparseDropBack::new(3_000).freeze_after(2);
+        let mut opt2 = DropBack::new(3_000).freeze_after(2);
         let progress = state.restore_into(&mut net2, &mut opt2, 0x5EED).unwrap();
         assert_eq!(net.store().params(), net2.store().params());
-        assert_eq!(opt.tracked(), opt2.tracked());
+        assert_eq!(opt.mask(), opt2.mask());
         assert_eq!(progress.next_epoch, 1);
         assert_eq!(progress.history.len(), 1);
     }
@@ -587,7 +575,7 @@ mod tests {
         for p in net2.store_mut().params_mut().iter_mut().take(100) {
             *p = 123.0;
         }
-        let mut opt2 = SparseDropBack::new(3_000).freeze_after(2);
+        let mut opt2 = DropBack::new(3_000).freeze_after(2);
         state.restore_into(&mut net2, &mut opt2, 0x5EED).unwrap();
         assert_eq!(net.store().params(), net2.store().params());
     }
@@ -595,7 +583,7 @@ mod tests {
     #[test]
     fn incompatibilities_are_typed_and_actionable() {
         let (_, _, state) = trained_snapshot();
-        let mk_opt = || SparseDropBack::new(3_000).freeze_after(2);
+        let mk_opt = || DropBack::new(3_000).freeze_after(2);
         // Wrong init seed.
         let err = state
             .restore_into(&mut models::mnist_100_100(10), &mut mk_opt(), 0x5EED)
@@ -624,7 +612,7 @@ mod tests {
         let err = state
             .restore_into(
                 &mut models::mnist_100_100(9),
-                &mut SparseDropBack::new(99),
+                &mut DropBack::new(99),
                 0x5EED,
             )
             .unwrap_err();
@@ -664,6 +652,46 @@ mod tests {
         buf.extend_from_slice(&0u32.to_le_bytes());
         let err = TrainState::read_from(&buf[..]).unwrap_err();
         assert!(err.to_string().contains("limit"));
+    }
+
+    #[test]
+    fn out_of_range_entries_are_rejected_before_any_write() {
+        let (_, _, mut state) = trained_snapshot();
+        state.entries = TrackedSet::from_entries(vec![(3, 1.0), (1 << 40, 2.0)]).unwrap();
+        let mut net = models::mnist_100_100(9);
+        let before = net.store().params().to_vec();
+        let mut opt = DropBack::new(3_000).freeze_after(2);
+        let opt_before = opt.snapshot_state();
+        let err = state.restore_into(&mut net, &mut opt, 0x5EED).unwrap_err();
+        assert!(matches!(
+            err,
+            CheckpointError::IndexOutOfRange {
+                index: 0x100_0000_0000,
+                ..
+            }
+        ));
+        assert_eq!(net.store().params(), &before[..]);
+        assert_eq!(
+            opt.snapshot_state(),
+            opt_before,
+            "optimizer restored on error"
+        );
+    }
+
+    #[test]
+    fn unordered_entries_fail_to_decode() {
+        let (_, _, state) = trained_snapshot();
+        let mut payload = state.encode_payload();
+        // The first two entries start after the fixed-width header, the
+        // two names and the entry count; swap their indices.
+        let first = 6 * 8 + 4 + 4 + state.model.len() + 4 + state.optimizer.len() + 8;
+        let (a, b) = (first, first + 12);
+        let (ia, ib) = (payload[a..a + 8].to_vec(), payload[b..b + 8].to_vec());
+        payload[a..a + 8].copy_from_slice(&ib);
+        payload[b..b + 8].copy_from_slice(&ia);
+        let err = TrainState::decode_payload(&payload).unwrap_err();
+        assert!(matches!(err, CheckpointError::InvalidData(_)), "{err}");
+        assert!(err.is_corruption());
     }
 
     #[test]

@@ -154,6 +154,57 @@ fn resume_with_incompatible_seed_exits_2_with_actionable_error() {
 }
 
 #[test]
+fn resume_from_a_legacy_sparse_snapshot_exits_2() {
+    // `--budget` runs used to train the retired `dropback-sparse` rule.
+    // Rewrite a fresh run's newest snapshot into that shape: it must be
+    // refused as incompatible, not resumed under DropBack.
+    use dropback::optim::{OptState, StateField};
+    use dropback::TrainState;
+    let dir = tmp_dir("legacy-sparse");
+    let first = tiny_train(&dir, "2", "13", false);
+    assert!(first.status.success());
+    let newest = dir.join("state-00000002.dbk2");
+    let bytes = std::fs::read(&newest).expect("snapshot exists");
+    let mut state = TrainState::read_from(&bytes[..]).expect("snapshot decodes");
+    state.optimizer = "dropback-sparse".into();
+    state.opt_state = OptState::new("dropback-sparse")
+        .with("k", StateField::U64(4_000))
+        .with("freeze_after", StateField::U64(2))
+        .with(
+            "tracked",
+            StateField::Pairs(state.entries.entries().to_vec()),
+        );
+    let mut legacy = Vec::new();
+    state.write_to(&mut legacy).unwrap();
+    std::fs::write(&newest, legacy).unwrap();
+
+    let resumed = tiny_train(&dir, "4", "13", true);
+    assert_eq!(
+        resumed.status.code(),
+        Some(2),
+        "stderr: {}",
+        String::from_utf8_lossy(&resumed.stderr)
+    );
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    assert!(stderr.contains("dropback-sparse"), "got: {stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn budget_runs_report_the_dropback_optimizer() {
+    let dir = tmp_dir("result-event");
+    let out = tiny_train(&dir, "1", "13", false);
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains(r#""optimizer":"dropback""#),
+        "got: {stdout}"
+    );
+    assert!(stdout.contains(r#""stored_weights":4000"#), "got: {stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn resume_without_checkpoint_dir_is_an_error() {
     let out = cli(&["train", "--resume", "--epochs", "1"]);
     assert!(!out.status.success());

@@ -10,13 +10,13 @@ const FLIP_TRIALS: u64 = 300;
 
 fn v1_bytes() -> Vec<u8> {
     let mut net = models::mnist_100_100(3);
-    let mut opt = SparseDropBack::new(2_000);
+    let mut opt = DropBack::new(2_000);
     let (train, _) = synthetic_mnist(128, 32, 3);
     for (x, labels) in Batcher::new(64, 1).epoch(&train, 0) {
         let _ = net.loss_backward(&x, &labels);
         opt.step(net.store_mut(), 0.1);
     }
-    let ckpt = Checkpoint::from_sparse(&net, &opt);
+    let ckpt = Checkpoint::new(net.store().seed(), opt.tracked(net.store()));
     let mut buf = Vec::new();
     ckpt.write_to(&mut buf).unwrap();
     buf
@@ -24,7 +24,7 @@ fn v1_bytes() -> Vec<u8> {
 
 fn v2_bytes() -> Vec<u8> {
     let mut net = models::mnist_100_100(3);
-    let mut opt = SparseDropBack::new(2_000);
+    let mut opt = DropBack::new(2_000);
     let (train, _) = synthetic_mnist(128, 32, 3);
     for (x, labels) in Batcher::new(64, 1).epoch(&train, 0) {
         let _ = net.loss_backward(&x, &labels);

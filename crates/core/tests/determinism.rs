@@ -6,11 +6,11 @@
 
 use dropback::prelude::*;
 
-/// Trains a fresh model with the sparse rule and returns the optimizer.
-fn sparse_run(seed: u64) -> (Network, SparseDropBack) {
+/// Trains a fresh model under DropBack and returns it with its optimizer.
+fn dropback_run(seed: u64) -> (Network, DropBack) {
     let (train, _) = synthetic_mnist(400, 64, seed);
     let mut net = models::mnist_100_100(seed);
-    let mut opt = SparseDropBack::new(5_000).freeze_after(2);
+    let mut opt = DropBack::new(5_000).freeze_after(2);
     let batcher = Batcher::new(64, 3);
     for epoch in 0..3u64 {
         for (x, labels) in batcher.epoch(&train, epoch) {
@@ -24,21 +24,25 @@ fn sparse_run(seed: u64) -> (Network, SparseDropBack) {
 
 #[test]
 fn same_seed_runs_produce_identical_tracked_sets() {
-    let (_, a) = sparse_run(41);
-    let (_, b) = sparse_run(41);
-    let idx_a: Vec<usize> = a.tracked().keys().copied().collect();
-    let idx_b: Vec<usize> = b.tracked().keys().copied().collect();
-    assert_eq!(idx_a, idx_b, "tracked index sets diverged");
+    let (net_a, a) = dropback_run(41);
+    let (net_b, b) = dropback_run(41);
+    let (set_a, set_b) = (a.tracked(net_a.store()), b.tracked(net_b.store()));
+    let idx = |set: &dropback::nn::TrackedSet| -> Vec<u64> {
+        set.entries().iter().map(|&(i, _)| i).collect()
+    };
+    assert_eq!(idx(&set_a), idx(&set_b), "tracked index sets diverged");
     // Values must agree to the bit, not to a tolerance: untracked weights
     // are regenerated from regen(seed, index), so any drift in the stored
     // ones breaks checkpoint replay.
-    for (i, va) in a.tracked() {
-        let vb = b.tracked()[i];
+    for (&(i, va), &(_, vb)) in set_a.entries().iter().zip(set_b.entries()) {
         assert_eq!(va.to_bits(), vb.to_bits(), "weight {i} drifted");
     }
-    // And the iteration order is the index order (BTreeMap) — the
-    // property checkpoint serialization relies on.
-    assert!(idx_a.windows(2).all(|w| w[0] < w[1]), "not index-ordered");
+    // And the entries are in index order — the property checkpoint
+    // serialization relies on.
+    assert!(
+        idx(&set_a).windows(2).all(|w| w[0] < w[1]),
+        "not index-ordered"
+    );
 }
 
 #[test]
@@ -49,7 +53,7 @@ fn same_seed_reports_render_identical_json() {
         Trainer::new(cfg)
             .run(
                 models::mnist_100_100(seed),
-                SparseDropBack::new(5_000),
+                DropBack::new(5_000),
                 &train,
                 &test,
             )

@@ -171,7 +171,7 @@ mod tests {
             .suppresses(&finding("no-unwrap", "crates/nn/src/act.rs"))
             .is_some());
         assert!(list
-            .suppresses(&finding("no-unwrap", "crates/optim/src/sparse.rs"))
+            .suppresses(&finding("no-unwrap", "crates/optim/src/dropback.rs"))
             .is_none());
         assert!(list
             .suppresses(&finding("no-print", "crates/nn/src/act.rs"))

@@ -106,6 +106,7 @@ const DETERMINISM_PATHS: &[&str] = &[
     "crates/core/src/report.rs",
     "crates/core/src/sparse_infer.rs",
     "crates/core/src/train_state.rs",
+    "crates/nn/src/tracked.rs",
     "crates/telemetry/src/json.rs",
     "crates/telemetry/src/snapshot.rs",
 ];
@@ -282,7 +283,8 @@ fn float_eq(ctx: &FileCtx, out: &mut Vec<Finding>) {
 const UNSAFE_PATHS: &[&str] = &["crates/tensor/src/pool.rs", "crates/tensor/src/simd.rs"];
 
 /// Library paths that make up the request/decode/replay flow: serve's
-/// HTTP surface, checkpoint decode, and streaming inference. A panic
+/// HTTP surface, checkpoint decode, tracked-set validation, and streaming
+/// inference. A panic
 /// here takes down a server or a resumable run on attacker-shaped or
 /// disk-corrupted input, so these files return typed errors — no
 /// unwrap/expect and no panicking macros, `unreachable!` included.
@@ -294,6 +296,7 @@ const PANIC_PATHS: &[&str] = &[
     "crates/core/src/chaos.rs",
     "crates/core/src/sparse_infer.rs",
     "crates/core/src/train_state.rs",
+    "crates/nn/src/tracked.rs",
 ];
 
 fn in_panic_path(path: &str) -> bool {
@@ -612,7 +615,7 @@ mod tests {
     fn hashmap_flagged_only_in_determinism_paths() {
         let src = "use std::collections::HashMap;";
         assert_eq!(
-            rules_hit("crates/optim/src/sparse.rs", src),
+            rules_hit("crates/optim/src/dropback.rs", src),
             vec!["hash-iteration"]
         );
         assert!(rules_hit("crates/nn/src/linear.rs", src).is_empty());
@@ -622,7 +625,7 @@ mod tests {
     #[test]
     fn hashmap_in_string_or_comment_is_clean() {
         let src = "// a HashMap would be bad here\nfn f() -> &'static str { \"HashMap\" }";
-        assert!(rules_hit("crates/optim/src/sparse.rs", src).is_empty());
+        assert!(rules_hit("crates/optim/src/dropback.rs", src).is_empty());
     }
 
     #[test]
@@ -790,6 +793,10 @@ mod tests {
         );
         assert_eq!(
             rules_hit("crates/core/src/checkpoint.rs", src),
+            vec!["panic-path"]
+        );
+        assert_eq!(
+            rules_hit("crates/nn/src/tracked.rs", src),
             vec!["panic-path"]
         );
         // Off the hot paths no-unwrap still owns the call site — exactly

@@ -10,6 +10,8 @@
 //!   network. Each layer registers a named range with an [`InitScheme`];
 //!   the store can regenerate the initial value of any global index without
 //!   touching the stored weights.
+//! * [`TrackedSet`] — the index-sorted `(index, value)` entries a DropBack
+//!   model stores; overlaid on a fresh store it densifies the whole model.
 //! * [`Layer`] — explicit `forward`/`backward` with caches owned by the
 //!   layer. No autograd tape: the backward formulas are hand-derived and
 //!   finite-difference-tested, which is what lets the optimizer see plain
@@ -47,6 +49,7 @@ mod norm;
 mod param;
 mod pool;
 mod sequential;
+mod tracked;
 mod vardrop;
 mod vardrop_conv;
 
@@ -62,5 +65,6 @@ pub use norm::BatchNorm;
 pub use param::{ParamRange, ParamStore};
 pub use pool::{AvgPool2d, GlobalAvgPool, MaxPool2d};
 pub use sequential::Sequential;
+pub use tracked::{TrackedError, TrackedSet};
 pub use vardrop::VarDropLinear;
 pub use vardrop_conv::VarDropConv2d;

@@ -3,7 +3,7 @@
 use crate::state::encode_opt_epoch;
 use crate::topk::top_k_mask_sharded;
 use crate::{OptState, Optimizer, StateError, StateField};
-use dropback_nn::ParamStore;
+use dropback_nn::{ParamStore, TrackedSet};
 use dropback_telemetry::Span;
 use dropback_tensor::pool;
 
@@ -27,8 +27,9 @@ const CHUNK: usize = 1 << 14;
 /// `mask = 1(S > λ)`, ties broken by index). Tracked weights take the SGD
 /// update `w -= lr · g`; untracked weights are **regenerated to their
 /// initialization values** — the invariant `untracked ⇒ w[i] == init(i)`
-/// holds after every step, so only `k` weights ever need storing (see
-/// [`crate::SparseDropBack`] for the explicitly-sparse demonstration).
+/// holds after every step, so only `k` weights ever need storing:
+/// [`DropBack::tracked`] overlaid on a fresh store reproduces the trained
+/// parameters exactly.
 ///
 /// After [`DropBack::freeze_after`] epochs the tracked set is fixed and
 /// untracked gradients stop participating (§2.1: "Freeze the set of tracked
@@ -110,6 +111,16 @@ impl DropBack {
     /// The current tracked mask (empty before the first step).
     pub fn mask(&self) -> &[bool] {
         &self.mask
+    }
+
+    /// The tracked weights of `ps` as `(index, value)` entries — with the
+    /// init seed, everything needed to rebuild the model
+    /// ([`TrackedSet::overlay`]). Empty before the first step. The
+    /// [`DropBack::with_zeroed_untracked`] ablation does not overlay back
+    /// to its parameters: overlay resets untracked weights to their init
+    /// values, and the ablation holds them at zero.
+    pub fn tracked(&self, ps: &ParamStore) -> TrackedSet {
+        TrackedSet::from_mask(ps.params(), &self.mask)
     }
 
     /// Number of currently tracked weights.
@@ -531,6 +542,47 @@ mod tests {
                 .restore_state(&snap),
             Err(StateError::NameMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn k_tracked_weights_plus_seed_reconstruct_every_step() {
+        // The paper's storage claim as an invariant: after every step —
+        // ranking, frozen, and across ranges with different init schemes —
+        // a fresh store overlaid with the `k` tracked entries is bit-equal
+        // to the trained parameters.
+        let make_store = || {
+            let mut ps = ParamStore::new(11);
+            ps.register("a", 40, InitScheme::lecun_normal(8));
+            ps.register("bn", 8, InitScheme::Constant(1.0));
+            ps
+        };
+        let mut ps = make_store();
+        let mut db = DropBack::new(12).freeze_after(3);
+        let mut rng = dropback_prng::Xorshift64::new(5);
+        for epoch in 0..5 {
+            for _ in 0..10 {
+                let grads: Vec<f32> = (0..48).map(|_| rng.next_f32() * 2.0 - 1.0).collect();
+                ps.zero_grads();
+                let (r0, r1) = (ps.ranges()[0].clone(), ps.ranges()[1].clone());
+                ps.accumulate_grad(&r0, &grads[..40]);
+                ps.accumulate_grad(&r1, &grads[40..]);
+                db.step(&mut ps, 0.1);
+                let tracked = db.tracked(&ps);
+                assert_eq!(tracked.len(), 12, "epoch {epoch}");
+                let mut rebuilt = make_store();
+                tracked.overlay(&mut rebuilt).unwrap();
+                let bits = |p: &[f32]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(rebuilt.params()), bits(ps.params()), "epoch {epoch}");
+            }
+            db.end_epoch(epoch, &mut ps);
+        }
+        assert!(db.is_frozen());
+    }
+
+    #[test]
+    fn tracked_is_empty_before_the_first_step() {
+        let ps = store_with_grads(4, &[1.0; 4]);
+        assert!(DropBack::new(2).tracked(&ps).is_empty());
     }
 
     #[test]

@@ -8,10 +8,8 @@
 //!   weights with the highest *accumulated* gradients are stored and
 //!   updated; every other weight is regenerated to its initialization value
 //!   on access. After a freeze epoch the tracked set is fixed.
-//! * [`SparseDropBack`] — the same rule with the tracked weights held in an
-//!   actual sparse map, demonstrating the paper's claim that `k` entries of
-//!   storage suffice during training (tested bit-equal to the dense
-//!   implementation).
+//!   [`DropBack::tracked`] hands out those `k` weights as a
+//!   [`dropback_nn::TrackedSet`], which alone reconstructs the model.
 //! * [`MagnitudePruning`] — keep-highest-|w| pruning applied every
 //!   iteration (the paper's "straightforward magnitude-based pruning").
 //! * [`NetworkSlimming`] — L1 on batch-norm scales, channel thresholding,
@@ -32,7 +30,6 @@ mod quant;
 mod schedule;
 mod sgd;
 mod slim;
-mod sparse;
 mod state;
 mod topk;
 mod vd;
@@ -45,7 +42,6 @@ pub use quant::{Quantized, Quantizer};
 pub use schedule::LrSchedule;
 pub use sgd::Sgd;
 pub use slim::NetworkSlimming;
-pub use sparse::SparseDropBack;
 pub use state::{OptState, StateError, StateField};
 pub use topk::{top_k_mask, top_k_mask_sharded};
 pub use vd::KlAnneal;

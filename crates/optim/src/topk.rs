@@ -7,6 +7,37 @@
 //! bit-identical to the serial one (same threshold, same lowest-index
 //! tie-break) at any thread count — see `docs/PERFORMANCE.md` for the
 //! argument and `tests/thread_invariance.rs` for the end-to-end pin.
+//!
+//! Both rank by one total-order key, `rank_key`: numbers compare as
+//! usual (`-0.0` ties `0.0`) and **NaN ranks below every number**, so a
+//! NaN score is selected only when fewer than `k` numbers exist, lowest
+//! index first. With a total order, exactly `min(k, n)` weights are
+//! selected whatever the input, and serial and sharded always agree.
+
+/// Maps a score to an integer whose order is the ranking order: the
+/// usual order on numbers with `-0.0` and `0.0` equal, and every NaN
+/// equal to each other and below `-inf`.
+fn rank_key(s: f32) -> u32 {
+    if s.is_nan() {
+        return 0;
+    }
+    let bits = s.to_bits();
+    if bits == 0x8000_0000 {
+        // -0.0 ranks as 0.0.
+        0x8000_0000
+    } else if bits >> 31 == 1 {
+        // Negative: larger magnitude ranks lower. `!bits` of -inf is
+        // 0x007F_FFFF, so every number stays above the NaN key 0.
+        !bits
+    } else {
+        bits | 0x8000_0000
+    }
+}
+
+/// The keys of `scores`, in order.
+fn rank_keys(scores: &[f32]) -> Vec<u32> {
+    scores.iter().map(|&s| rank_key(s)).collect()
+}
 
 /// Returns a boolean mask selecting exactly `min(k, n)` elements with the
 /// largest `scores`, breaking ties by preferring lower indices
@@ -23,41 +54,36 @@ pub fn top_k_mask(scores: &[f32], k: usize) -> Vec<bool> {
     if k >= n {
         return vec![true; n];
     }
-    let threshold = kth_largest(scores, k);
-    let mut mask = vec![false; n];
-    let mut taken = 0usize;
+    let threshold = kth_largest(rank_keys(scores), k);
     // First pass: everything strictly above the threshold.
-    for (i, &s) in scores.iter().enumerate() {
-        if s > threshold {
-            mask[i] = true;
-            taken += 1;
-        }
-    }
-    // Second pass: fill remaining slots with threshold-equal elements,
-    // lowest index first.
+    let mut mask: Vec<bool> = scores.iter().map(|&s| rank_key(s) > threshold).collect();
+    fill_ties(scores, threshold, k, &mut mask);
+    mask
+}
+
+/// The `k`-th largest key (1-indexed: `k = 1` is the maximum), selected
+/// in place.
+fn kth_largest(mut keys: Vec<u32>, k: usize) -> u32 {
+    // Descending order puts the k-th largest at position k - 1.
+    let (_, nth, _) = keys.select_nth_unstable_by(k - 1, |a, b| b.cmp(a));
+    *nth
+}
+
+/// Second pass: fills the slots left after the strict-greater pass with
+/// threshold-equal scores, lowest index first. The threshold is the
+/// `k`-th largest key, so exactly `k` end up selected.
+fn fill_ties(scores: &[f32], threshold: u32, k: usize, mask: &mut [bool]) {
+    let mut taken = mask.iter().filter(|&&m| m).count();
     for (i, &s) in scores.iter().enumerate() {
         if taken == k {
             break;
         }
-        if !mask[i] && s == threshold {
+        if !mask[i] && rank_key(s) == threshold {
             mask[i] = true;
             taken += 1;
         }
     }
     debug_assert_eq!(taken, k);
-    mask
-}
-
-/// The `k`-th largest value (1-indexed: `k = 1` is the maximum).
-fn kth_largest(scores: &[f32], k: usize) -> f32 {
-    let mut buf: Vec<f32> = scores.to_vec();
-    let idx = k - 1;
-    // `select_nth_unstable_by` with descending order puts the k-th largest
-    // at position idx.
-    let (_, nth, _) = buf.select_nth_unstable_by(idx, |a, b| {
-        b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal)
-    });
-    *nth
 }
 
 /// Scores per shard for [`top_k_mask_sharded`]. Fixed (never derived from
@@ -96,38 +122,25 @@ pub fn top_k_mask_sharded(scores: &[f32], k: usize) -> Vec<bool> {
     let candidates = dropback_tensor::pool::map_indexed(shards, |s| {
         let lo = s * SHARD;
         let hi = (lo + SHARD).min(n);
-        let mut buf: Vec<f32> = scores[lo..hi].to_vec();
-        let kk = k.min(buf.len());
-        let (top, nth, _) = buf.select_nth_unstable_by(kk - 1, |a, b| {
-            b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let mut v = top.to_vec();
-        v.push(*nth);
-        v
+        let mut keys = rank_keys(&scores[lo..hi]);
+        let kk = k.min(keys.len());
+        keys.select_nth_unstable_by(kk - 1, |a, b| b.cmp(a));
+        keys.truncate(kk);
+        keys
     });
-    let merged: Vec<f32> = candidates.into_iter().flatten().collect();
-    let threshold = kth_largest(&merged, k);
+    let merged: Vec<u32> = candidates.into_iter().flatten().collect();
+    let threshold = kth_largest(merged, k);
     let mut mask = vec![false; n];
     // Strict-greater pass, parallel over the same fixed shards (each mask
     // element depends only on its own score).
     dropback_tensor::pool::for_each_chunk_mut(&mut mask, SHARD, |ci, chunk| {
         let base = ci * SHARD;
         for (j, m) in chunk.iter_mut().enumerate() {
-            *m = scores[base + j] > threshold;
+            *m = rank_key(scores[base + j]) > threshold;
         }
     });
-    let mut taken = mask.iter().filter(|&&m| m).count();
     // Serial tie-fill, lowest index first — identical to the reference.
-    for (i, &s) in scores.iter().enumerate() {
-        if taken == k {
-            break;
-        }
-        if !mask[i] && s == threshold {
-            mask[i] = true;
-            taken += 1;
-        }
-    }
-    debug_assert_eq!(taken, k);
+    fill_ties(scores, threshold, k, &mut mask);
     mask
 }
 
@@ -274,6 +287,56 @@ mod tests {
         let mask = top_k_mask_sharded(&scores, k);
         assert_eq!(mask, top_k_mask(&scores, k));
         assert_eq!(selected(&mask), (0..k).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn nan_ranks_below_every_number_across_shards() {
+        // Seeded NaNs scattered over more than two shards: the total order
+        // must still select exactly min(k, n), identically in both paths.
+        let n = SHARD * 2 + 77;
+        let mut scores = rand_scores(n, 0xA11CE, None);
+        let mut state = 0x5EEDu64;
+        let mut nan_at = Vec::new();
+        for _ in 0..(n / 3) {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let i = (state % n as u64) as usize;
+            scores[i] = if state & 1 == 0 { f32::NAN } else { -f32::NAN };
+            nan_at.push(i);
+        }
+        let numbers = scores.iter().filter(|s| !s.is_nan()).count();
+        for k in [1usize, 100, n / 8, numbers, numbers + 5, n - 1, n, n + 3] {
+            let serial = top_k_mask(&scores, k);
+            assert_eq!(selected(&serial).len(), k.min(n), "k={k}");
+            assert_eq!(serial, top_k_mask_sharded(&scores, k), "k={k}");
+            // NaN only enters once every number is in.
+            let nans_taken = nan_at.iter().filter(|&&i| serial[i]).count();
+            if k <= numbers {
+                assert_eq!(nans_taken, 0, "k={k}");
+            } else {
+                assert!(scores.iter().zip(&serial).all(|(s, &m)| m || s.is_nan()));
+            }
+        }
+    }
+
+    #[test]
+    fn rank_key_orders_numbers_and_sinks_nan() {
+        let ordered = [
+            f32::NEG_INFINITY,
+            -3.0,
+            -0.5,
+            0.0,
+            1e-30,
+            2.0,
+            f32::INFINITY,
+        ];
+        for w in ordered.windows(2) {
+            assert!(rank_key(w[0]) < rank_key(w[1]), "{} vs {}", w[0], w[1]);
+        }
+        assert_eq!(rank_key(-0.0), rank_key(0.0));
+        assert!(rank_key(f32::NAN) < rank_key(f32::NEG_INFINITY));
+        assert_eq!(rank_key(f32::NAN), rank_key(-f32::NAN));
     }
 
     #[test]

@@ -383,11 +383,11 @@ mod tests {
     use crate::model::{ModelSlot, ServingModel};
     use dropback::{TrainProgress, TrainState};
     use dropback_nn::models;
-    use dropback_optim::{Optimizer, SparseDropBack};
+    use dropback_optim::{DropBack, Optimizer};
 
     fn slot() -> Arc<ModelSlot> {
         let mut net = models::mnist_100_100(21);
-        let mut opt = SparseDropBack::new(100);
+        let mut opt = DropBack::new(100);
         opt.step(net.store_mut(), 0.0);
         let state = TrainState::capture(&net, &opt, 1, &TrainProgress::fresh());
         Arc::new(ModelSlot::new(

@@ -258,7 +258,7 @@ fn cmd_prep(flags: &HashMap<String, String>) -> Result<(), CliError> {
             )))
         }
     };
-    let mut opt = SparseDropBack::new(budget);
+    let mut opt = DropBack::new(budget);
     let (train, _) = synthetic_mnist(samples, 64, seed);
     let batcher = Batcher::new(64, seed);
     let mut store = CheckpointStore::open(dir)

@@ -2,8 +2,8 @@
 //!
 //! A `DROPBKv2` snapshot carries `(model name, init seed, k tracked
 //! entries)`. [`ServingModel::from_state`] rebuilds the architecture from
-//! the model zoo, keys the tracked entries by global index, and hands
-//! both to [`dropback::StreamingModel`] — every untracked weight is
+//! the model zoo, checks the entries' indices against it, and hands both
+//! to [`dropback::StreamingModel`] — every untracked weight is
 //! regenerated from `regen(seed, index)` at evaluation time, so the
 //! server's resident weight state is exactly the paper's deployment
 //! artifact, never a dense matrix.
@@ -19,7 +19,6 @@ use crate::rt::Swap;
 use dropback::{CheckpointError, StreamStats, StreamingModel, TrainState};
 use dropback_nn::{models, Network};
 use dropback_tensor::Tensor;
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -55,24 +54,16 @@ impl ServingModel {
     pub fn from_state(state: &TrainState, source: impl Into<PathBuf>) -> Result<Self, ServeError> {
         let net = build_network(&state.model, state.init_seed)
             .ok_or_else(|| ServeError::UnsupportedModel(state.model.clone()))?;
-        let n = net.num_params();
-        let mut tracked = BTreeMap::new();
-        for &(i, v) in &state.entries {
-            if i as usize >= n {
-                return Err(ServeError::Checkpoint(CheckpointError::IndexOutOfRange {
-                    index: i,
-                    len: n,
-                }));
-            }
-            tracked.insert(i as usize, v);
-        }
-        let entries = tracked.len();
-        let stream = StreamingModel::new(net.store(), &tracked)?;
+        state
+            .entries
+            .check_bounds(net.num_params())
+            .map_err(CheckpointError::from)?;
+        let stream = StreamingModel::new(net.store(), &state.entries)?;
         Ok(Self {
             name: state.model.clone(),
             epoch: state.progress.next_epoch,
             source: source.into(),
-            entries,
+            entries: state.entries.len(),
             stream,
         })
     }
@@ -148,11 +139,11 @@ impl ModelSlot {
 mod tests {
     use super::*;
     use dropback::{TrainProgress, TrainState};
-    use dropback_optim::{Optimizer, SparseDropBack};
+    use dropback_optim::{DropBack, OptState, Optimizer, StateField};
 
     pub(crate) fn state_at(epoch: usize, seed: u64) -> TrainState {
         let mut net = models::mnist_100_100(seed);
-        let mut opt = SparseDropBack::new(400);
+        let mut opt = DropBack::new(400);
         opt.step(net.store_mut(), 0.0);
         for i in 0..32 {
             net.store_mut().params_mut()[i * 97] = epoch as f32 * 0.25 + i as f32 * 0.01;
@@ -179,12 +170,38 @@ mod tests {
         let x = Tensor::filled(vec![2, 784], 0.03);
         let (served, _) = model.infer(&x).unwrap();
         let net = models::mnist_100_100(77);
-        let tracked: BTreeMap<usize, f32> = state
-            .entries
-            .iter()
-            .map(|&(i, v)| (i as usize, v))
-            .collect();
-        let (direct, _) = dropback::stream_mlp_forward(net.store(), &tracked, &x).unwrap();
+        let (direct, _) = dropback::stream_mlp_forward(net.store(), &state.entries, &x).unwrap();
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&served), bits(&direct));
+    }
+
+    #[test]
+    fn legacy_sparse_snapshots_still_decode_and_serve() {
+        // Snapshots of the retired `dropback-sparse` rule carry its
+        // tracked set as a `Pairs` field; they must keep serving.
+        let mut state = state_at(2, 31);
+        state.optimizer = "dropback-sparse".into();
+        state.opt_state = OptState::new("dropback-sparse")
+            .with("k", StateField::U64(400))
+            .with("freeze_after", StateField::U64(u64::MAX))
+            .with("frozen", StateField::U64(0))
+            .with("steps", StateField::U64(1))
+            .with("epoch_swaps", StateField::U64(400))
+            .with("last_epoch_churn", StateField::U64(0))
+            .with(
+                "tracked",
+                StateField::Pairs(state.entries.entries().to_vec()),
+            );
+        let mut bytes = Vec::new();
+        state.write_to(&mut bytes).unwrap();
+        let loaded = TrainState::read_from(&bytes[..]).unwrap();
+        assert_eq!(loaded, state);
+        let model = ServingModel::from_state(&loaded, "/tmp/state-00000002.dbk2").unwrap();
+        assert_eq!(model.entries(), state.entries.len());
+        let x = Tensor::filled(vec![3, 784], 0.02);
+        let (served, _) = model.infer(&x).unwrap();
+        let net = models::mnist_100_100(31);
+        let (direct, _) = dropback::stream_mlp_forward(net.store(), &loaded.entries, &x).unwrap();
         let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&served), bits(&direct));
     }
@@ -201,9 +218,17 @@ mod tests {
     #[test]
     fn out_of_range_entries_are_a_checkpoint_error() {
         let mut state = state_at(1, 5);
-        state.entries.push((10_000_000, 1.0));
+        let mut entries = state.entries.entries().to_vec();
+        entries.push((10_000_000, 1.0));
+        state.entries = dropback::nn::TrackedSet::from_entries(entries).unwrap();
         let err = ServingModel::from_state(&state, "/tmp/x").unwrap_err();
-        assert!(matches!(err, ServeError::Checkpoint(_)));
+        assert!(matches!(
+            err,
+            ServeError::Checkpoint(CheckpointError::IndexOutOfRange {
+                index: 10_000_000,
+                ..
+            })
+        ));
     }
 
     #[test]

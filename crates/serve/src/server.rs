@@ -790,7 +790,7 @@ mod tests {
     use crate::client::HttpClient;
     use dropback::{TrainProgress, TrainState};
     use dropback_nn::models;
-    use dropback_optim::{Optimizer, SparseDropBack};
+    use dropback_optim::{DropBack, Optimizer};
     use std::fs;
     use std::path::PathBuf;
 
@@ -804,7 +804,7 @@ mod tests {
     fn seeded_store(dir: &PathBuf) -> CheckpointStore {
         let mut store = CheckpointStore::open(dir).unwrap();
         let mut net = models::mnist_100_100(3);
-        let mut opt = SparseDropBack::new(300);
+        let mut opt = DropBack::new(300);
         opt.step(net.store_mut(), 0.0);
         let state = TrainState::capture(
             &net,

@@ -20,10 +20,9 @@
 use dropback::telemetry::{Json, Telemetry};
 use dropback::{CheckpointStore, FaultAction, FaultPlan, TrainProgress, TrainState};
 use dropback_nn::models;
-use dropback_optim::{Optimizer, SparseDropBack};
+use dropback_optim::{DropBack, Optimizer};
 use dropback_serve::{Backoff, BatchConfig, ChaosHook, HttpClient, Server, ServerConfig};
 use dropback_tensor::Tensor;
-use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -33,7 +32,7 @@ use std::time::Duration;
 /// A deterministic snapshot; logits depend on the seed.
 fn state_at(epoch: usize, seed: u64) -> TrainState {
     let mut net = models::mnist_100_100(seed);
-    let mut opt = SparseDropBack::new(500);
+    let mut opt = DropBack::new(500);
     opt.step(net.store_mut(), 0.0);
     let progress = TrainProgress {
         next_epoch: epoch,
@@ -45,13 +44,8 @@ fn state_at(epoch: usize, seed: u64) -> TrainState {
 /// Ground truth: streaming inference straight off the snapshot.
 fn direct_logits(state: &TrainState, input: &[f32]) -> Vec<f32> {
     let net = models::mnist_100_100(state.init_seed);
-    let tracked: BTreeMap<usize, f32> = state
-        .entries
-        .iter()
-        .map(|&(i, v)| (i as usize, v))
-        .collect();
     let x = Tensor::from_vec(vec![1, input.len()], input.to_vec());
-    let (y, _) = dropback::stream_mlp_forward(net.store(), &tracked, &x).unwrap();
+    let (y, _) = dropback::stream_mlp_forward(net.store(), &state.entries, &x).unwrap();
     y.data().to_vec()
 }
 

@@ -10,10 +10,9 @@
 use dropback::telemetry::{Json, Telemetry};
 use dropback::{CheckpointStore, FaultInjector, FaultMode, TrainProgress, TrainState};
 use dropback_nn::models;
-use dropback_optim::{Optimizer, SparseDropBack};
+use dropback_optim::{DropBack, Optimizer};
 use dropback_serve::{BatchConfig, HttpClient, InferReply, Server, ServerConfig};
 use dropback_tensor::Tensor;
-use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -22,7 +21,7 @@ use std::time::Duration;
 /// generations produce different logits.
 fn state_at(epoch: usize, seed: u64) -> TrainState {
     let mut net = models::mnist_100_100(seed);
-    let mut opt = SparseDropBack::new(500);
+    let mut opt = DropBack::new(500);
     opt.step(net.store_mut(), 0.0);
     for i in 0..64 {
         net.store_mut().params_mut()[i * 139] = epoch as f32 * 0.5 + i as f32 * 0.02 - 0.3;
@@ -38,13 +37,8 @@ fn state_at(epoch: usize, seed: u64) -> TrainState {
 /// server involved.
 fn direct_logits(state: &TrainState, input: &[f32]) -> Vec<f32> {
     let net = models::mnist_100_100(state.init_seed);
-    let tracked: BTreeMap<usize, f32> = state
-        .entries
-        .iter()
-        .map(|&(i, v)| (i as usize, v))
-        .collect();
     let x = Tensor::from_vec(vec![1, input.len()], input.to_vec());
-    let (y, _) = dropback::stream_mlp_forward(net.store(), &tracked, &x).unwrap();
+    let (y, _) = dropback::stream_mlp_forward(net.store(), &state.entries, &x).unwrap();
     y.data().to_vec()
 }
 

@@ -276,14 +276,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so this is safe).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest
-                    .chars()
-                    .next()
-                    .ok_or_else(|| format!("unterminated string at byte {}", *pos))?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole unescaped run up to the next `"` or `\` in
+                // one step. Both are ASCII, and ASCII bytes never occur
+                // inside a multi-byte UTF-8 sequence, so the run of a valid
+                // &str is itself valid UTF-8 — and decoding it once keeps
+                // the parse linear in the input length.
+                let run = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |off| *pos + off);
+                out.push_str(std::str::from_utf8(&bytes[*pos..run]).map_err(|e| e.to_string())?);
+                *pos = run;
             }
         }
     }
@@ -430,5 +433,22 @@ mod tests {
         // é is é; literal multibyte UTF-8 must survive as well.
         let j = Json::parse("\"A\\u00e9 é\"").unwrap();
         assert_eq!(j.as_str(), Some("Aé é"));
+    }
+
+    #[test]
+    fn mebibyte_string_with_multibyte_text_and_escapes_round_trips() {
+        // A 1 MiB literal: per-character re-decoding of the remaining input
+        // made this quadratic; run-at-a-time decoding parses it instantly.
+        let unit = "ascii é→😀 \"quoted\" back\\slash\n\ttab ";
+        let mut s = String::new();
+        while s.len() < 1 << 20 {
+            s.push_str(unit);
+        }
+        let j = Json::Obj(vec![("s".into(), Json::Str(s.clone()))]);
+        let text = j.render();
+        assert!(text.len() > 1 << 20);
+        let parsed = Json::parse(&text).unwrap();
+        assert_eq!(parsed.get("s").and_then(Json::as_str), Some(s.as_str()));
+        assert_eq!(parsed.render(), text);
     }
 }

@@ -115,7 +115,7 @@ fn optimizer_memory_accounting_flows_into_reports() {
 fn checkpoint_roundtrips_through_a_file() {
     let (train, test) = data(45);
     let mut net = models::mnist_100_100(45);
-    let mut opt = SparseDropBack::new(5_000);
+    let mut opt = DropBack::new(5_000);
     let batcher = Batcher::new(64, 2);
     for epoch in 0..2u64 {
         for (x, labels) in batcher.epoch(&train, epoch) {
@@ -124,7 +124,7 @@ fn checkpoint_roundtrips_through_a_file() {
         }
     }
     let acc = net.accuracy(&test, 256);
-    let ckpt = Checkpoint::from_sparse(&net, &opt);
+    let ckpt = Checkpoint::new(net.store().seed(), opt.tracked(net.store()));
     let path = std::env::temp_dir().join(format!("dropback_it_{}.dbk", std::process::id()));
     ckpt.write_to(std::fs::File::create(&path).unwrap())
         .unwrap();

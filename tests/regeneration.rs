@@ -1,30 +1,33 @@
-//! Integration tests for the regeneration storage story: sparse == dense,
-//! and the weight memory a trained network actually needs.
+//! Integration tests for the regeneration storage story: the `k` tracked
+//! entries plus the seed are the whole model, and the weight memory a
+//! trained network actually needs.
 
 use dropback::optim::Optimizer as _;
 use dropback::prelude::*;
 
 #[test]
 fn sparse_and_dense_dropback_agree_on_a_real_network() {
+    // The sparse view — seed plus the tracked entries — densifies to the
+    // dense parameters bit for bit after every step, ranking and frozen.
     let (train, _) = synthetic_mnist(600, 100, 17);
-    let mut dense_net = models::mnist_100_100(17);
+    let mut net = models::mnist_100_100(17);
+    let mut opt = DropBack::new(8_000).freeze_after(1);
     let mut sparse_net = models::mnist_100_100(17);
-    let mut dense = DropBack::new(8_000).freeze_after(1);
-    let mut sparse = SparseDropBack::new(8_000).freeze_after(1);
     let batcher = Batcher::new(64, 13);
+    let bits =
+        |net: &Network| -> Vec<u32> { net.store().params().iter().map(|p| p.to_bits()).collect() };
     for epoch in 0..2u64 {
         for (x, labels) in batcher.epoch(&train, epoch) {
-            let _ = dense_net.loss_backward(&x, &labels);
-            dense.step(dense_net.store_mut(), 0.1);
-            let _ = sparse_net.loss_backward(&x, &labels);
-            sparse.step(sparse_net.store_mut(), 0.1);
+            let _ = net.loss_backward(&x, &labels);
+            opt.step(net.store_mut(), 0.1);
+            let tracked = opt.tracked(net.store());
+            assert_eq!(tracked.len(), 8_000);
+            tracked.overlay(sparse_net.store_mut()).unwrap();
+            assert_eq!(bits(&net), bits(&sparse_net), "epoch {epoch}");
         }
-        // Identical parameters after every epoch — bit for bit.
-        assert_eq!(dense_net.store().params(), sparse_net.store().params());
-        dense.end_epoch(epoch as usize, dense_net.store_mut());
-        sparse.end_epoch(epoch as usize, sparse_net.store_mut());
+        opt.end_epoch(epoch as usize, net.store_mut());
     }
-    assert!(sparse.storage_entries() <= 8_000);
+    assert!(opt.is_frozen());
 }
 
 #[test]
@@ -34,7 +37,7 @@ fn trained_model_reconstructs_from_k_weights_plus_seed() {
     // matches.
     let (train, test) = synthetic_mnist(800, 200, 23);
     let mut net = models::mnist_100_100(23);
-    let mut opt = SparseDropBack::new(6_000);
+    let mut opt = DropBack::new(6_000);
     let batcher = Batcher::new(64, 19);
     for epoch in 0..2u64 {
         for (x, labels) in batcher.epoch(&train, epoch) {
@@ -43,13 +46,13 @@ fn trained_model_reconstructs_from_k_weights_plus_seed() {
         }
     }
     let original_acc = net.accuracy(&test, 256);
-    let tracked: Vec<(usize, f32)> = opt.tracked().iter().map(|(&i, &w)| (i, w)).collect();
+    let tracked = opt.tracked(net.store());
 
     // "Ship" only (seed, tracked) and rebuild the network from scratch.
     let mut rebuilt = models::mnist_100_100(23);
     assert_eq!(rebuilt.store().params().len(), net.store().params().len());
-    for (i, w) in tracked {
-        rebuilt.store_mut().params_mut()[i] = w;
+    for &(i, w) in tracked.entries() {
+        rebuilt.store_mut().params_mut()[i as usize] = w;
     }
     let rebuilt_acc = rebuilt.accuracy(&test, 256);
     assert_eq!(

@@ -117,17 +117,9 @@ fn mlp_training_is_bit_identical_across_thread_counts() {
 fn conv_training_is_bit_identical_across_thread_counts() {
     let _guard = config_lock();
     let (train, _) = synthetic_cifar(96, 16, models::CIFAR_NANO_HW, models::CIFAR_NANO_HW, 11);
-    let run = || {
-        train_run(
-            models::vgg_s_nano(11),
-            SparseDropBack::new(4_000),
-            &train,
-            4,
-            16,
-        )
-    };
+    let run = || train_run(models::vgg_s_nano(11), DropBack::new(4_000), &train, 4, 16);
     pool::set_threads(THREAD_MATRIX[0]);
     simd::set_simd(false);
     let serial = run();
-    assert_matches_serial("vgg-s-nano/dropback-sparse", &serial, run);
+    assert_matches_serial("vgg-s-nano/dropback", &serial, run);
 }
