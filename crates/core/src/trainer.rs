@@ -568,7 +568,13 @@ mod tests {
             assert!(e.get("train_loss").unwrap().as_f64().is_some());
             assert!(e.get("val_acc").unwrap().as_f64().is_some());
             assert_eq!(e.get("tracked_k").unwrap().as_u64(), Some(20_000));
-            assert!(e.get("churn").unwrap().as_f64().is_some());
+            let count = |key: &str| e.get(key).and_then(Json::as_u64).unwrap();
+            // Every entry evicts a tracked weight, except the k that fill
+            // the empty set on the first step.
+            let fill = if i == 0 { 20_000 } else { 0 };
+            assert_eq!(count("churn"), count("evictions") + fill, "epoch {i}");
+            // An entering weight was a candidate first.
+            assert!(count("candidates") >= count("churn"), "epoch {i}");
             // Per-phase wall-time sums from the span registry.
             for phase in ["forward_ns", "backward_ns", "optimizer_step_ns", "eval_ns"] {
                 assert!(

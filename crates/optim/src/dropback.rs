@@ -1,16 +1,21 @@
 //! The DropBack training rule (Algorithm 1 of the paper).
 
 use crate::state::encode_opt_epoch;
-use crate::topk::top_k_mask_sharded;
+use crate::topk::{key_score, rank_key, top_k_mask_sharded, Cut};
 use crate::{OptState, Optimizer, StateError, StateField};
-use dropback_nn::{ParamStore, TrackedSet};
-use dropback_telemetry::Span;
+use dropback_nn::{ParamRange, ParamStore, TrackedSet};
+use dropback_telemetry::{trace, Span};
 use dropback_tensor::pool;
 
-/// Elements per parallel chunk for the score/update/regen sweeps. Fixed
-/// (never derived from the thread count), so the per-element work
+/// Elements per parallel chunk for the score/candidate/regen sweeps.
+/// Fixed (never derived from the thread count), so the per-element work
 /// assignment is identical at any `DROPBACK_THREADS` value.
 const CHUNK: usize = 1 << 14;
+
+/// Tracked weights per parallel chunk when scoring them. Each costs an
+/// init regeneration, so small chunks spread the `k` of them evenly over
+/// the workers.
+const TRACKED_CHUNK: usize = 1 << 11;
 
 /// DropBack: continuous pruning during training.
 ///
@@ -25,11 +30,18 @@ const CHUNK: usize = 1 << 14;
 ///
 /// The top-`k` scores become the new tracked set (`λ = S_k`,
 /// `mask = 1(S > λ)`, ties broken by index). Tracked weights take the SGD
-/// update `w -= lr · g`; untracked weights are **regenerated to their
-/// initialization values** — the invariant `untracked ⇒ w[i] == init(i)`
-/// holds after every step, so only `k` weights ever need storing:
-/// [`DropBack::tracked`] overlaid on a fresh store reproduces the trained
-/// parameters exactly.
+/// update `w -= lr · g`; untracked weights hold their **initialization
+/// values** — the invariant `untracked ⇒ w[i] == init(i)` holds after
+/// every step, so only `k` weights ever need storing: [`DropBack::tracked`]
+/// overlaid on a fresh store reproduces the trained parameters exactly.
+///
+/// The invariant also spares most of the work on the `n` weights: only
+/// the `k` tracked scores need an init regeneration, only untracked
+/// weights scoring at least the lowest tracked score (Algorithm 1's λ) can
+/// enter, so one compare pass over the gradients finds every candidate,
+/// and only evicted weights need regenerating. The first step,
+/// the first after [`Optimizer::restore_state`], and every step with
+/// `k ≥ n` rank and regenerate all `n` weights instead.
 ///
 /// After [`DropBack::freeze_after`] epochs the tracked set is fixed and
 /// untracked gradients stop participating (§2.1: "Freeze the set of tracked
@@ -41,11 +53,67 @@ pub struct DropBack {
     frozen: bool,
     zero_untracked: bool,
     mask: Vec<bool>,
-    scores: Vec<f32>,
+    /// The indices `mask` selects, ascending.
+    tracked: Vec<u32>,
+    /// Whether the parameters and `mask` are known to satisfy what the
+    /// incremental step assumes: `min(k, n)` tracked, every untracked
+    /// weight at its origin. False until a full step has run.
+    synced: bool,
     last_swaps: usize,
     epoch_swaps: usize,
     last_epoch_churn: usize,
+    epoch_candidates: usize,
+    last_epoch_candidates: usize,
+    epoch_evictions: usize,
+    last_epoch_evictions: usize,
     steps: u64,
+}
+
+/// What one step's selection did.
+#[derive(Default)]
+struct Selection {
+    /// Untracked weights the selection ranked.
+    candidates: usize,
+    /// Tracked weights that left the set.
+    evictions: usize,
+    /// Their indices, ascending; empty on a full step, which regenerates
+    /// every untracked weight instead.
+    evicted: Vec<u32>,
+    /// The `k`-th largest score; `None` on a frozen step.
+    lambda: Option<f32>,
+}
+
+/// The values untracked weights hold, for ascending indices: each call
+/// advances a cursor over the parameter ranges.
+#[derive(Clone, Copy)]
+struct Origins<'a> {
+    ranges: &'a [ParamRange],
+    seed: u64,
+    zero_untracked: bool,
+    range: usize,
+}
+
+impl<'a> Origins<'a> {
+    fn new(ranges: &'a [ParamRange], seed: u64, zero_untracked: bool) -> Self {
+        Self {
+            ranges,
+            seed,
+            zero_untracked,
+            range: 0,
+        }
+    }
+
+    /// The origin of weight `i`, which must not be below the previous `i`.
+    fn at(&mut self, i: usize) -> f32 {
+        while self.ranges[self.range].end() <= i {
+            self.range += 1;
+        }
+        if self.zero_untracked {
+            0.0
+        } else {
+            self.ranges[self.range].scheme().value(self.seed, i as u64)
+        }
+    }
 }
 
 impl DropBack {
@@ -62,10 +130,15 @@ impl DropBack {
             frozen: false,
             zero_untracked: false,
             mask: Vec::new(),
-            scores: Vec::new(),
+            tracked: Vec::new(),
+            synced: false,
             last_swaps: 0,
             epoch_swaps: 0,
             last_epoch_churn: 0,
+            epoch_candidates: 0,
+            last_epoch_candidates: 0,
+            epoch_evictions: 0,
+            last_epoch_evictions: 0,
             steps: 0,
         }
     }
@@ -125,7 +198,7 @@ impl DropBack {
 
     /// Number of currently tracked weights.
     pub fn tracked_count(&self) -> usize {
-        self.mask.iter().filter(|&&m| m).count()
+        self.tracked.len()
     }
 
     /// Tracked-weight count per registered parameter range as
@@ -148,10 +221,156 @@ impl DropBack {
         ps.len() as f32 / self.k.min(ps.len()) as f32
     }
 
-    fn ensure_state(&mut self, n: usize) {
-        if self.mask.len() != n {
-            self.mask = vec![false; n];
-            self.scores = vec![0.0; n];
+    /// Rebuilds `tracked` from `mask`.
+    fn index_mask(&mut self) {
+        self.tracked.clear();
+        self.tracked
+            .extend((0..).zip(&self.mask).filter_map(|(i, &m)| m.then_some(i)));
+    }
+
+    /// Ranks all `n` scores with [`top_k_mask_sharded`] (the tracked set
+    /// stays as it is when frozen). Makes no assumption about the
+    /// parameters, so it is the step after construction and restore.
+    fn select_all(&mut self, ps: &ParamStore, lr: f32) -> Selection {
+        let (new_mask, lambda) = if self.frozen {
+            (self.mask.clone(), None)
+        } else {
+            let _rank_span = Span::enter("topk-rank");
+            // Score: tracked -> |w - w0| (recomputed, Algorithm 1's T);
+            //        untracked -> |lr·g| (Algorithm 1's U).
+            // Each score depends only on its own index, so the sweep is
+            // chunked over the pool.
+            let mut scores = vec![0.0f32; ps.len()];
+            let mask = &self.mask;
+            let (params, grads) = (ps.params(), ps.grads());
+            let origins = Origins::new(ps.ranges(), ps.seed(), self.zero_untracked);
+            pool::for_each_chunk_mut(&mut scores, CHUNK, |ci, chunk| {
+                let mut origins = origins;
+                for (i, s) in (ci * CHUNK..).zip(chunk.iter_mut()) {
+                    *s = if mask[i] {
+                        (params[i] - origins.at(i)).abs()
+                    } else {
+                        (lr * grads[i]).abs()
+                    };
+                }
+            });
+            let new_mask = top_k_mask_sharded(&scores, self.k);
+            let lambda = scores
+                .iter()
+                .zip(&new_mask)
+                .filter_map(|(&s, &m)| m.then_some(rank_key(s)))
+                .min()
+                .map(key_score);
+            (new_mask, lambda)
+        };
+        let (mut candidates, mut evictions) = (0, 0);
+        self.last_swaps = 0;
+        for (&old, &new) in self.mask.iter().zip(&new_mask) {
+            candidates += usize::from(!old);
+            evictions += usize::from(old && !new);
+            self.last_swaps += usize::from(new && !old);
+        }
+        self.mask = new_mask;
+        self.index_mask();
+        Selection {
+            candidates: if self.frozen { 0 } else { candidates },
+            evictions,
+            evicted: Vec::new(),
+            lambda,
+        }
+    }
+
+    /// Algorithm 1 over just the weights that can be selected. With
+    /// exactly `k` tracked, `k` scores are at least λ, the lowest tracked
+    /// score, so no untracked weight scoring below λ can be selected: the
+    /// top `k` of the tracked weights plus the untracked ones scoring at
+    /// least λ is the top `k` of all `n`, ties included.
+    fn select_incremental(&mut self, ps: &ParamStore, lr: f32) -> Selection {
+        let _rank_span = Span::enter("topk-rank");
+        let Self {
+            k,
+            zero_untracked,
+            mask,
+            tracked,
+            ..
+        } = self;
+        let (params, grads) = (ps.params(), ps.grads());
+        // Algorithm 1's T: the tracked scores |w - w0|.
+        let origins = Origins::new(ps.ranges(), ps.seed(), *zero_untracked);
+        let mut keys = vec![0; tracked.len()];
+        pool::for_each_chunk_mut(&mut keys, TRACKED_CHUNK, |ci, chunk| {
+            let mut origins = origins;
+            let indices = &tracked[ci * TRACKED_CHUNK..];
+            for (key, &i) in chunk.iter_mut().zip(indices) {
+                let i = i as usize;
+                *key = rank_key((params[i] - origins.at(i)).abs());
+            }
+        });
+        let lambda = keys.iter().copied().min().unwrap_or(0);
+        // Algorithm 1's U, kept only where |lr·g| reaches λ. Ties count:
+        // a candidate at λ with a lower index than a tracked weight at λ
+        // takes its place. On these non-negative scores, `s >= floor`
+        // orders as the keys do; a NaN λ ranks below everything, so then
+        // every untracked weight is a candidate.
+        let floor = key_score(lambda);
+        let admit_all = floor.is_nan();
+        let n = mask.len();
+        let key_of = |i: u32| rank_key((lr * grads[i as usize]).abs());
+        let found = pool::map_indexed(n.div_ceil(CHUNK), |c| {
+            let (lo, hi) = (c * CHUNK, ((c + 1) * CHUNK).min(n));
+            let mut hits = Vec::new();
+            for (i, &tracked) in (lo as u32..).zip(&mask[lo..hi]) {
+                let s = (lr * grads[i as usize]).abs();
+                if !tracked & (admit_all | (s >= floor)) {
+                    hits.push(i);
+                }
+            }
+            hits
+        });
+        let entering = found.concat();
+        if entering.is_empty() {
+            self.last_swaps = 0;
+            return Selection {
+                lambda: Some(floor),
+                ..Selection::default()
+            };
+        }
+        let mut cut = Cut::new(
+            keys.iter()
+                .copied()
+                .chain(entering.iter().map(|&i| key_of(i))),
+            *k,
+        );
+        // Walk the tracked weights and the candidates together, ascending
+        // by index, so the tie-fill sees them in the order the full ranking
+        // would.
+        let previous = std::mem::replace(tracked, Vec::with_capacity(*k));
+        let (mut evicted, mut a, mut b, mut entered) = (Vec::new(), 0, 0, 0);
+        while a < previous.len() || b < entering.len() {
+            let (i, key) =
+                if b < entering.len() && (a == previous.len() || entering[b] < previous[a]) {
+                    b += 1;
+                    (entering[b - 1], key_of(entering[b - 1]))
+                } else {
+                    a += 1;
+                    (previous[a - 1], keys[a - 1])
+                };
+            let slot = &mut mask[i as usize];
+            if cut.take(key) {
+                tracked.push(i);
+                entered += usize::from(!*slot);
+                *slot = true;
+            } else if *slot {
+                *slot = false;
+                evicted.push(i);
+            }
+        }
+        self.last_swaps = entered;
+        Selection {
+            candidates: entering.len(),
+            evictions: evicted.len(),
+            evicted,
+            lambda: Some(key_score(cut.threshold())),
         }
     }
 }
@@ -159,99 +378,71 @@ impl DropBack {
 impl Optimizer for DropBack {
     fn step(&mut self, ps: &mut ParamStore, lr: f32) {
         let n = ps.len();
-        self.ensure_state(n);
-        let seed = ps.seed();
-        let ranges: Vec<_> = ps.ranges().to_vec();
-        let new_mask = if self.frozen {
-            std::mem::take(&mut self.mask)
+        if self.mask.len() != n {
+            assert!(u32::try_from(n).is_ok(), "{n} weights exceed u32 indices");
+            self.mask = vec![false; n];
+            self.tracked.clear();
+            self.synced = false;
+        }
+        let full = !self.synced || self.k >= n;
+        let selection = if full {
+            self.select_all(ps, lr)
+        } else if self.frozen {
+            self.last_swaps = 0;
+            Selection::default()
         } else {
-            let _rank_span = Span::enter("topk-rank");
-            // Score: tracked -> |w - w0| (recomputed, Algorithm 1's T);
-            //        untracked -> |lr·g| (Algorithm 1's U).
-            // Each score depends only on its own index, so the sweep is
-            // chunked over the pool per range.
-            let mask = &self.mask;
-            let zero_untracked = self.zero_untracked;
-            let (params, grads) = (ps.params(), ps.grads());
-            for r in &ranges {
-                let scheme = r.scheme();
-                let start = r.start();
-                pool::for_each_chunk_mut(&mut self.scores[start..r.end()], CHUNK, |ci, chunk| {
-                    let base = start + ci * CHUNK;
-                    for (j, s) in chunk.iter_mut().enumerate() {
-                        let i = base + j;
-                        *s = if mask[i] {
-                            let origin = if zero_untracked {
-                                0.0
-                            } else {
-                                scheme.value(seed, i as u64)
-                            };
-                            (params[i] - origin).abs()
-                        } else {
-                            (lr * grads[i]).abs()
-                        };
-                    }
-                });
-            }
-            top_k_mask_sharded(&self.scores, self.k)
-        };
-        self.last_swaps = if self.frozen {
-            0
-        } else if self.steps == 0 {
-            new_mask.iter().filter(|&&m| m).count()
-        } else {
-            new_mask
-                .iter()
-                .zip(&self.mask)
-                .filter(|&(&new, &old)| new && !old)
-                .count()
+            self.select_incremental(ps, lr)
         };
         self.epoch_swaps += self.last_swaps;
-        // Update tracked, regenerate untracked. Regeneration is idempotent
-        // for weights that were already untracked, so no old-mask check is
-        // needed to preserve the invariant untracked ⇒ w == init.
-        {
-            let (params, grads) = ps.update_view();
-            pool::for_each_chunk_mut(params, CHUNK, |ci, chunk| {
-                let base = ci * CHUNK;
-                for (j, p) in chunk.iter_mut().enumerate() {
-                    if new_mask[base + j] {
-                        *p -= lr * grads[base + j];
-                    }
-                }
-            });
+        self.epoch_candidates += selection.candidates;
+        self.epoch_evictions += selection.evictions;
+        trace::record_counter("dropback.candidates", selection.candidates as f64);
+        trace::record_counter("dropback.evictions", selection.evictions as f64);
+        if let Some(lambda) = selection.lambda {
+            trace::record_counter("dropback.lambda", f64::from(lambda));
         }
         {
-            // Regeneration is O(1) per index (`scheme.value(seed, i)`), so
-            // untracked shards regenerate embarrassingly parallel.
+            let (params, grads) = ps.update_view();
+            for &i in &self.tracked {
+                let i = i as usize;
+                params[i] -= lr * grads[i];
+            }
+        }
+        // Untracked weights already sit at their origin (the invariant),
+        // so only weights that just left the set need regenerating — none
+        // on a frozen step. A full step cannot assume the invariant and
+        // regenerates every untracked weight; regeneration is O(1) per
+        // index (`scheme.value(seed, i)`), so it runs chunked on the pool.
+        if full || !selection.evicted.is_empty() {
             let _regen_span = Span::enter("regen");
-            let zero_untracked = self.zero_untracked;
-            for r in &ranges {
-                let scheme = r.scheme();
-                let start = r.start();
-                let params = ps.params_mut();
-                pool::for_each_chunk_mut(&mut params[start..r.end()], CHUNK, |ci, chunk| {
-                    let base = start + ci * CHUNK;
-                    for (j, p) in chunk.iter_mut().enumerate() {
-                        let i = base + j;
-                        if !new_mask[i] {
-                            *p = if zero_untracked {
-                                0.0
-                            } else {
-                                scheme.value(seed, i as u64)
-                            };
+            let ranges = ps.ranges().to_vec();
+            let mut origins = Origins::new(&ranges, ps.seed(), self.zero_untracked);
+            if full {
+                let mask = &self.mask;
+                pool::for_each_chunk_mut(ps.params_mut(), CHUNK, |ci, chunk| {
+                    let mut origins = origins;
+                    for (i, p) in (ci * CHUNK..).zip(chunk.iter_mut()) {
+                        if !mask[i] {
+                            *p = origins.at(i);
                         }
                     }
                 });
+            } else {
+                let params = ps.params_mut();
+                for &i in &selection.evicted {
+                    let i = i as usize;
+                    params[i] = origins.at(i);
+                }
             }
         }
-        self.mask = new_mask;
+        self.synced = true;
         self.steps += 1;
     }
 
     fn end_epoch(&mut self, epoch: usize, _ps: &mut ParamStore) {
-        self.last_epoch_churn = self.epoch_swaps;
-        self.epoch_swaps = 0;
+        self.last_epoch_churn = std::mem::take(&mut self.epoch_swaps);
+        self.last_epoch_candidates = std::mem::take(&mut self.epoch_candidates);
+        self.last_epoch_evictions = std::mem::take(&mut self.epoch_evictions);
         if let Some(fe) = self.freeze_after {
             if epoch + 1 >= fe {
                 self.frozen = true;
@@ -271,10 +462,16 @@ impl Optimizer for DropBack {
         self.k.min(ps.len())
     }
 
+    fn tracked(&self, ps: &ParamStore) -> Option<TrackedSet> {
+        Some(DropBack::tracked(self, ps))
+    }
+
     fn metrics(&self) -> Vec<(&'static str, f64)> {
         vec![
             ("tracked_k", self.tracked_count() as f64),
             ("churn", self.last_epoch_churn as f64),
+            ("candidates", self.last_epoch_candidates as f64),
+            ("evictions", self.last_epoch_evictions as f64),
             ("frozen", if self.frozen { 1.0 } else { 0.0 }),
         ]
     }
@@ -293,8 +490,10 @@ impl Optimizer for DropBack {
                 StateField::U64(u64::from(self.zero_untracked)),
             )
             // Mutable state: everything the next step/end_epoch reads.
-            // `scores` is excluded on purpose — it is fully overwritten
-            // before every use, so it carries no cross-step information.
+            // The tracked index list is derived from `mask` on restore, and
+            // the per-step buffers are refilled before every use. The
+            // candidate and eviction sums are telemetry no step reads; a
+            // restore starts them at zero.
             .with("frozen", StateField::U64(u64::from(self.frozen)))
             .with("steps", StateField::U64(self.steps))
             .with("last_swaps", StateField::U64(self.last_swaps as u64))
@@ -317,9 +516,10 @@ impl Optimizer for DropBack {
         self.epoch_swaps = state.u64("epoch_swaps")? as usize;
         self.last_epoch_churn = state.u64("last_epoch_churn")? as usize;
         self.mask = state.bools("mask")?.to_vec();
-        // Keep the scratch buffer in lockstep with the mask so
-        // `ensure_state` does not wipe the restored mask on the next step.
-        self.scores = vec![0.0; self.mask.len()];
+        self.index_mask();
+        // The restored parameters are not known to match the mask, so the
+        // next step ranks and regenerates everything.
+        self.synced = false;
         Ok(())
     }
 }

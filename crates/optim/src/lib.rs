@@ -46,7 +46,7 @@ pub use state::{OptState, StateError, StateField};
 pub use topk::{top_k_mask, top_k_mask_sharded};
 pub use vd::KlAnneal;
 
-use dropback_nn::ParamStore;
+use dropback_nn::{ParamStore, TrackedSet};
 
 /// A training-rule: consumes the gradients accumulated in a [`ParamStore`]
 /// and updates its parameters.
@@ -66,11 +66,19 @@ pub trait Optimizer {
         ps.len()
     }
 
+    /// The weights this rule stores, as `(index, value)` entries, when it
+    /// keeps a tracked set; `None` (the default) when every weight is
+    /// stored. [`Quantized`] quantizes only these.
+    fn tracked(&self, _ps: &ParamStore) -> Option<TrackedSet> {
+        None
+    }
+
     /// Per-epoch scalar metrics for telemetry, as `(name, value)` pairs.
     /// Read by the trainer after [`Optimizer::end_epoch`]; the default
     /// reports nothing. DropBack rules report `tracked_k`, `churn` (weights
-    /// that entered the tracked set during the finished epoch), and
-    /// `frozen`.
+    /// that entered the tracked set during the finished epoch),
+    /// `candidates` (untracked weights the epoch's selections ranked),
+    /// `evictions` (weights that left the set), and `frozen`.
     fn metrics(&self) -> Vec<(&'static str, f64)> {
         Vec::new()
     }

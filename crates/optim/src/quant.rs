@@ -8,7 +8,7 @@
 //! bit width over a DropBack run.
 
 use crate::Optimizer;
-use dropback_nn::ParamStore;
+use dropback_nn::{ParamStore, TrackedSet};
 
 /// Uniform symmetric fake-quantizer for weight vectors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,7 +70,10 @@ impl Quantizer {
 /// The inner rule runs unchanged (full-precision gradients), then every
 /// stored weight is snapped to the quantization grid — the "quantize while
 /// training" regime of Gupta et al. 2015 / Courbariaux et al. 2014 the
-/// paper cites as combinable with DropBack.
+/// paper cites as combinable with DropBack. Under a rule with a tracked
+/// set ([`Optimizer::tracked`]) the stored weights are the tracked ones:
+/// each range's scale is their max-|w|, and untracked weights keep their
+/// exact init values.
 #[derive(Debug, Clone)]
 pub struct Quantized<O> {
     inner: O,
@@ -109,9 +112,27 @@ impl<O: Optimizer> Optimizer for Quantized<O> {
         self.inner.step(ps, lr);
         // Quantize per registered range so each layer gets its own scale.
         let ranges: Vec<_> = ps.ranges().to_vec();
-        for r in &ranges {
-            let slice = &mut ps.params_mut()[r.start()..r.end()];
-            self.quantizer.quantize_slice(slice);
+        match self.inner.tracked(ps) {
+            None => {
+                for r in &ranges {
+                    let slice = &mut ps.params_mut()[r.start()..r.end()];
+                    self.quantizer.quantize_slice(slice);
+                }
+            }
+            // Only stored weights live on the grid: untracked ones stay at
+            // their init values, which the inner rule relies on.
+            Some(set) => {
+                let params = ps.params_mut();
+                for r in &ranges {
+                    let entries = set.within(r.start(), r.end());
+                    let scale = entries.iter().fold(0.0f32, |m, &(_, v)| m.max(v.abs()));
+                    if scale > 0.0 {
+                        for &(i, v) in entries {
+                            params[i as usize] = self.quantizer.quantize(v, scale);
+                        }
+                    }
+                }
+            }
         }
     }
 
@@ -125,6 +146,10 @@ impl<O: Optimizer> Optimizer for Quantized<O> {
 
     fn stored_weights(&self, ps: &ParamStore) -> usize {
         self.inner.stored_weights(ps)
+    }
+
+    fn tracked(&self, ps: &ParamStore) -> Option<TrackedSet> {
+        self.inner.tracked(ps)
     }
 }
 
@@ -180,6 +205,47 @@ mod tests {
         // Post-SGD values [-1, -0.5, 1, -0.25] -> scale 1.0, grid 0.5.
         assert_eq!(ps.params(), &[-1.0, -0.5, 0.5, -0.5]);
         assert_eq!(opt.name(), "sgd+q2");
+    }
+
+    #[test]
+    fn quantized_dropback_keeps_untracked_at_init_and_tracked_on_the_grid() {
+        let mut ps = ParamStore::new(9);
+        ps.register("w", 200, InitScheme::lecun_normal(20));
+        ps.register("gamma", 16, InitScheme::Constant(1.0));
+        let mut opt = Quantized::new(crate::DropBack::new(40).freeze_after(3), 3);
+        let mut rng = dropback_prng::Xorshift64::new(17);
+        for epoch in 0..4 {
+            for step in 0..10 {
+                ps.zero_grads();
+                for g in ps.grads_mut() {
+                    *g = rng.next_f32() * 2.0 - 1.0;
+                }
+                opt.step(&mut ps, 0.2);
+                let mask = opt.inner().mask();
+                for r in ps.ranges() {
+                    let mut grid = std::collections::BTreeSet::new();
+                    for (i, &tracked) in mask.iter().enumerate().take(r.end()).skip(r.start()) {
+                        let w = ps.params()[i];
+                        if tracked {
+                            grid.insert(w.to_bits());
+                        } else {
+                            assert_eq!(
+                                w.to_bits(),
+                                ps.init_value(i).to_bits(),
+                                "{epoch}:{step} {i}"
+                            );
+                        }
+                    }
+                    assert!(
+                        grid.len() <= 8,
+                        "{epoch}:{step} {}: {} levels",
+                        r.name(),
+                        grid.len()
+                    );
+                }
+            }
+            opt.end_epoch(epoch, &mut ps);
+        }
     }
 
     #[test]

@@ -13,11 +13,16 @@
 //! NaN score is selected only when fewer than `k` numbers exist, lowest
 //! index first. With a total order, exactly `min(k, n)` weights are
 //! selected whatever the input, and serial and sharded always agree.
+//!
+//! [`Cut`] applies the same threshold and tie-fill to a *subset* of the
+//! scores. DropBack's incremental step uses it on the tracked weights plus
+//! the untracked candidates that can enter, a subset that provably holds
+//! every selected index (see `docs/PERFORMANCE.md`).
 
 /// Maps a score to an integer whose order is the ranking order: the
 /// usual order on numbers with `-0.0` and `0.0` equal, and every NaN
 /// equal to each other and below `-inf`.
-fn rank_key(s: f32) -> u32 {
+pub(crate) fn rank_key(s: f32) -> u32 {
     if s.is_nan() {
         return 0;
     }
@@ -31,6 +36,18 @@ fn rank_key(s: f32) -> u32 {
         !bits
     } else {
         bits | 0x8000_0000
+    }
+}
+
+/// The score a key ranks: the inverse of [`rank_key`], with `0.0` for the
+/// key `±0.0` share and NaN for the NaN key.
+pub(crate) fn key_score(key: u32) -> f32 {
+    if key == 0 {
+        f32::NAN
+    } else if key >> 31 == 1 {
+        f32::from_bits(key & 0x7FFF_FFFF)
+    } else {
+        f32::from_bits(!key)
     }
 }
 
@@ -54,7 +71,7 @@ pub fn top_k_mask(scores: &[f32], k: usize) -> Vec<bool> {
     if k >= n {
         return vec![true; n];
     }
-    let threshold = kth_largest(rank_keys(scores), k);
+    let threshold = kth_largest(&mut rank_keys(scores), k);
     // First pass: everything strictly above the threshold.
     let mut mask: Vec<bool> = scores.iter().map(|&s| rank_key(s) > threshold).collect();
     fill_ties(scores, threshold, k, &mut mask);
@@ -63,7 +80,7 @@ pub fn top_k_mask(scores: &[f32], k: usize) -> Vec<bool> {
 
 /// The `k`-th largest key (1-indexed: `k = 1` is the maximum), selected
 /// in place.
-fn kth_largest(mut keys: Vec<u32>, k: usize) -> u32 {
+fn kth_largest(keys: &mut [u32], k: usize) -> u32 {
     // Descending order puts the k-th largest at position k - 1.
     let (_, nth, _) = keys.select_nth_unstable_by(k - 1, |a, b| b.cmp(a));
     *nth
@@ -84,6 +101,50 @@ fn fill_ties(scores: &[f32], threshold: u32, k: usize, mask: &mut [bool]) {
         }
     }
     debug_assert_eq!(taken, k);
+}
+
+/// The top-`k` cut of a subset of scores, walked in ascending index
+/// order: the threshold and lowest-index tie-fill of [`top_k_mask`]
+/// applied to just those scores.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Cut {
+    threshold: u32,
+    ties: usize,
+}
+
+impl Cut {
+    /// The cut that keeps `k` of `keys`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0 < k <= keys.len()`.
+    pub(crate) fn new(keys: impl IntoIterator<Item = u32>, k: usize) -> Self {
+        let mut keys: Vec<u32> = keys.into_iter().collect();
+        assert!(k > 0 && k <= keys.len(), "cut {k} of {}", keys.len());
+        let threshold = kth_largest(&mut keys, k);
+        let above = keys.iter().filter(|&&key| key > threshold).count();
+        Self {
+            threshold,
+            ties: k - above,
+        }
+    }
+
+    /// The `k`-th largest key.
+    pub(crate) fn threshold(&self) -> u32 {
+        self.threshold
+    }
+
+    /// Whether the next key, in ascending index order, is selected.
+    pub(crate) fn take(&mut self, key: u32) -> bool {
+        if key > self.threshold {
+            true
+        } else if key == self.threshold && self.ties > 0 {
+            self.ties -= 1;
+            true
+        } else {
+            false
+        }
+    }
 }
 
 /// Scores per shard for [`top_k_mask_sharded`]. Fixed (never derived from
@@ -128,8 +189,8 @@ pub fn top_k_mask_sharded(scores: &[f32], k: usize) -> Vec<bool> {
         keys.truncate(kk);
         keys
     });
-    let merged: Vec<u32> = candidates.into_iter().flatten().collect();
-    let threshold = kth_largest(merged, k);
+    let mut merged: Vec<u32> = candidates.into_iter().flatten().collect();
+    let threshold = kth_largest(&mut merged, k);
     let mut mask = vec![false; n];
     // Strict-greater pass, parallel over the same fixed shards (each mask
     // element depends only on its own score).
@@ -337,6 +398,42 @@ mod tests {
         assert_eq!(rank_key(-0.0), rank_key(0.0));
         assert!(rank_key(f32::NAN) < rank_key(f32::NEG_INFINITY));
         assert_eq!(rank_key(f32::NAN), rank_key(-f32::NAN));
+    }
+
+    #[test]
+    fn key_score_inverts_rank_key() {
+        for s in [
+            0.0f32,
+            1e-30,
+            0.25,
+            3.5,
+            f32::MAX,
+            f32::INFINITY,
+            -2.0,
+            f32::NEG_INFINITY,
+        ] {
+            assert_eq!(key_score(rank_key(s)).to_bits(), s.to_bits(), "{s}");
+        }
+        assert_eq!(key_score(rank_key(-0.0)).to_bits(), 0.0f32.to_bits());
+        assert!(key_score(rank_key(f32::NAN)).is_nan());
+    }
+
+    #[test]
+    fn cut_over_every_key_matches_the_mask() {
+        for (trial, quantize) in [None, Some(8.0), Some(2.0)].into_iter().enumerate() {
+            let mut scores = rand_scores(500, 0xC07 + trial as u64, quantize);
+            scores[17] = f32::NAN;
+            let keys = || scores.iter().map(|&s| rank_key(s));
+            for k in [1usize, 5, 100, 499, 500] {
+                let mut cut = Cut::new(keys(), k);
+                let picked: Vec<bool> = keys().map(|key| cut.take(key)).collect();
+                assert_eq!(picked, top_k_mask(&scores, k), "trial {trial} k={k}");
+                assert_eq!(
+                    cut.threshold(),
+                    kth_largest(&mut keys().collect::<Vec<_>>(), k)
+                );
+            }
+        }
     }
 
     #[test]

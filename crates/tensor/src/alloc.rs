@@ -17,9 +17,19 @@ use std::sync::atomic::{AtomicU64, Ordering};
 static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 static HWM_BYTES: AtomicU64 = AtomicU64::new(0);
 
+#[cfg(test)]
+thread_local! {
+    /// Bytes the calling thread allocated minus the bytes it freed. The
+    /// tests read this instead of [`live_bytes`], which a test on another
+    /// thread can move between two reads.
+    static THREAD_LIVE: std::cell::Cell<i64> = const { std::cell::Cell::new(0) };
+}
+
 pub(crate) fn track_alloc(bytes: usize) {
     let live = LIVE_BYTES.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
     HWM_BYTES.fetch_max(live, Ordering::Relaxed);
+    #[cfg(test)]
+    THREAD_LIVE.with(|t| t.set(t.get() + bytes as i64));
 }
 
 pub(crate) fn track_free(bytes: usize) {
@@ -28,6 +38,8 @@ pub(crate) fn track_free(bytes: usize) {
     let _ = LIVE_BYTES.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
         Some(v.saturating_sub(bytes as u64))
     });
+    #[cfg(test)]
+    THREAD_LIVE.with(|t| t.set(t.get() - bytes as i64));
 }
 
 /// Bytes of tensor payload currently alive in the process.
@@ -52,41 +64,42 @@ mod tests {
     use super::*;
     use crate::Tensor;
 
-    // Other tests in the crate allocate tensors concurrently (KBs), so
-    // these tests use multi-MB tensors and leave generous slack instead
-    // of asserting exact totals.
+    // Other tests in the crate allocate and free tensors concurrently, so
+    // these tests read the calling thread's own count, which only their
+    // own tensors move.
 
-    /// 4 MiB of payload — two orders of magnitude above anything the rest
-    /// of the test binary allocates at once.
     const BIG: usize = 1 << 20;
-    const BIG_BYTES: u64 = (BIG as u64) * 4;
-    const SLACK: u64 = BIG_BYTES / 4;
+    const BIG_BYTES: i64 = (BIG as i64) * 4;
+
+    fn thread_live() -> i64 {
+        THREAD_LIVE.with(|t| t.get())
+    }
 
     #[test]
     fn alloc_raises_live_and_hwm_and_drop_releases() {
-        let before = live_bytes();
+        let before = thread_live();
         let t = Tensor::zeros(vec![BIG]);
-        let with = live_bytes();
-        assert!(with >= before + BIG_BYTES, "alloc tracked");
-        assert!(hwm_bytes() >= with, "hwm covers the peak");
+        let with = thread_live();
+        assert_eq!(with, before + BIG_BYTES, "alloc tracked");
+        // The process-wide peak came no earlier than this tensor, which is
+        // still live (a concurrent `reset_hwm` keeps it counted too).
+        assert!(hwm_bytes() >= BIG_BYTES as u64, "hwm covers the peak");
         drop(t);
-        assert!(
-            live_bytes() <= with - BIG_BYTES + SLACK,
-            "drop released the payload"
-        );
+        assert_eq!(thread_live(), with - BIG_BYTES, "drop released the payload");
     }
 
     #[test]
     fn clone_and_into_vec_balance() {
         let t = Tensor::from_fn(vec![BIG], |i| i as f32);
-        let live_one = live_bytes();
+        let live_one = thread_live();
         let c = t.clone();
-        assert!(live_bytes() >= live_one + BIG_BYTES, "clone tracked");
-        let with_clone = live_bytes();
+        assert_eq!(thread_live(), live_one + BIG_BYTES, "clone tracked");
+        let with_clone = thread_live();
         let v = c.into_vec();
         assert_eq!(v.len(), BIG);
-        assert!(
-            live_bytes() <= with_clone - BIG_BYTES + SLACK,
+        assert_eq!(
+            thread_live(),
+            with_clone - BIG_BYTES,
             "into_vec released the tensor's accounting"
         );
         drop(t);
@@ -96,7 +109,10 @@ mod tests {
     fn reset_hwm_tracks_current_live() {
         let t = Tensor::zeros(vec![BIG]);
         reset_hwm();
-        assert!(hwm_bytes() >= BIG_BYTES, "reset keeps live tensors counted");
+        assert!(
+            hwm_bytes() >= BIG_BYTES as u64,
+            "reset keeps live tensors counted"
+        );
         drop(t);
     }
 }

@@ -235,4 +235,46 @@ assert infer_ok >= 4, f"expected >=4 successful /infer records, saw {infer_ok}"
 print(f"access log ok: {len(lines)} records, {infer_ok} served infers")
 EOF
 
+echo "== paper-shape gate (the repro binaries' shape assertions hold at smoke scale)"
+# Eight repro binaries assert a qualitative claim of the paper each: Fig.
+# 2's early-vs-late churn, Fig. 4's DropBack tracking the baseline, the
+# zeroed ablation collapsing, and so on. A change that legitimately moves
+# training bits cannot be checked for equality with its parent; these
+# assertions are its oracle. Fixed seed, smoke scale, each must print PASS.
+cargo build --release -q -p dropback-bench --bins
+for bin in repro_fig1 repro_fig2 repro_fig3 repro_fig4 repro_fig5 repro_fig6 \
+    repro_ablation_zeroed repro_headroom; do
+    OUT="$SERVE_TMP/$bin.out"
+    if ! DROPBACK_SEED=42 DROPBACK_EPOCHS=2 DROPBACK_TRAIN=600 DROPBACK_TEST=200 \
+        "./target/release/$bin" > "$OUT" 2>&1 || ! grep -q "PASS" "$OUT"; then
+        echo "$bin failed its shape check:" >&2
+        tail -20 "$OUT" >&2
+        exit 1
+    fi
+    echo "$bin: PASS"
+done
+
+echo "== perfbench gate (benchmark tests, then short runs must be correct)"
+# The benchmark is a workspace of its own, so `cargo test --workspace`
+# does not reach it. The short runs check, over every index, that exactly
+# k weights are tracked and every untracked weight equals its init value.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+for workload in mlp-rank mlp-frozen; do
+    OUT="$SERVE_TMP/perfbench-$workload.json"
+    if ! cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 > "$OUT"; then
+        echo "perfbench $workload failed:" >&2
+        cat "$OUT" >&2
+        exit 1
+    fi
+    python3 - "$workload" "$OUT" << 'EOF'
+import json, sys
+workload, path = sys.argv[1], sys.argv[2]
+result = [json.loads(l) for l in open(path) if l.strip()][-1]
+assert result.get("correct") is True, f"{workload}: not correct: {result}"
+assert result.get("failed") == 0, f"{workload}: failed operations: {result}"
+print(f"perfbench {workload}: correct, {result['attempted']} operations")
+EOF
+done
+
 echo "All checks passed."
