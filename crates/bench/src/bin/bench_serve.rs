@@ -7,11 +7,11 @@
 //! previous reply lands. Latency quantiles are computed client-side from
 //! the exact sorted per-request samples (not the server's log2-bucketed
 //! histograms), so p50/p99 here are sharp; the server's own digest rides
-//! along for batch-fill and regen counts.
+//! along for batch-fill counts.
 //!
 //! What to look for: batch fill should rise with concurrency (that is
-//! micro-batching working — more rows share one regen sweep of the
-//! untracked weights), so throughput should scale better than 1/latency.
+//! micro-batching working — more rows share one forward pass), so
+//! throughput should scale better than 1/latency.
 //!
 //! ```text
 //! cargo run --release -p dropback-bench --bin bench_serve
@@ -110,7 +110,7 @@ fn run_level(dir: &PathBuf, clients: usize, reqs: usize) -> LevelResult {
     let server = Server::start(cfg, store).unwrap();
     let addr = server.addr();
 
-    // Warm the connection path and the first regen sweep untimed.
+    // Warm the connection path and the first forward pass untimed.
     let input = probe_input();
     let mut warm = HttpClient::connect(addr).unwrap();
     warm.infer(&input).unwrap();
@@ -390,7 +390,7 @@ fn main() {
         peak / base.max(1e-9)
     );
     println!("batch fill rising with clients = micro-batching amortizing the");
-    println!("regen sweep across rows (see docs/SERVING.md)");
+    println!("forward pass across rows (see docs/SERVING.md)");
 
     let level_json = |l: &LevelResult| {
         Json::Obj(vec![
@@ -404,14 +404,6 @@ fn main() {
             (
                 "batches".into(),
                 Json::from(l.digest_counter("serve.batches")),
-            ),
-            (
-                "regens".into(),
-                Json::from(l.digest_counter("serve.regens")),
-            ),
-            (
-                "stored_reads".into(),
-                Json::from(l.digest_counter("serve.stored_reads")),
             ),
         ])
     };

@@ -61,7 +61,6 @@ mod ckpt_store;
 mod config;
 mod crc;
 mod report;
-mod sparse_infer;
 pub mod trace_analysis;
 mod train_state;
 mod trainer;
@@ -72,9 +71,6 @@ pub use ckpt_store::CheckpointStore;
 pub use config::TrainConfig;
 pub use crc::crc32;
 pub use report::{EpochStats, TrainReport};
-pub use sparse_infer::{
-    stream_mlp_forward, StreamError, StreamStats, StreamingLinear, StreamingModel,
-};
 pub use trace_analysis::{analyze_chrome_trace, PhaseRow, TraceAnalysis, TraceError};
 pub use train_state::{TrainProgress, TrainState};
 pub use trainer::{NoProbe, StepProbe, Trainer};
@@ -86,7 +82,6 @@ pub mod prelude {
     pub use crate::ckpt_store::CheckpointStore;
     pub use crate::config::TrainConfig;
     pub use crate::report::{EpochStats, TrainReport};
-    pub use crate::sparse_infer::{stream_mlp_forward, StreamStats, StreamingModel};
     pub use crate::train_state::{TrainProgress, TrainState};
     pub use crate::trainer::{NoProbe, StepProbe, Trainer};
     pub use dropback_data::{synthetic_cifar, synthetic_mnist, Batcher, Dataset};

@@ -141,11 +141,6 @@ pub struct BatchFillDigest {
     pub fill_min: f64,
     /// Largest batch fill.
     pub fill_max: f64,
-    /// Total weight regenerations across all batches (from the DropBack
-    /// streaming evaluator's regen/stored split).
-    pub regens: f64,
-    /// Total stored-weight reads across all batches.
-    pub stored_reads: f64,
     /// Timestamp of the first batch, microseconds.
     pub first_ts_us: f64,
     /// Timestamp of the last batch, microseconds.
@@ -416,15 +411,11 @@ impl TraceAnalysis {
             return None;
         }
         let fills: Vec<f64> = rows.iter().map(|r| r.arg("fill").unwrap_or(0.0)).collect();
-        let sum =
-            |key: &str| -> f64 { rows.iter().map(|r| r.arg(key).unwrap_or(0.0)).sum::<f64>() };
         Some(BatchFillDigest {
             batches: rows.len() as u64,
             fill_mean: fills.iter().sum::<f64>() / fills.len() as f64,
             fill_min: fills.iter().copied().fold(f64::INFINITY, f64::min),
             fill_max: fills.iter().copied().fold(0.0, f64::max),
-            regens: sum("regens"),
-            stored_reads: sum("stored_reads"),
             first_ts_us: rows.first().map(|r| r.ts_us).unwrap_or(0.0),
             last_ts_us: rows.last().map(|r| r.ts_us).unwrap_or(0.0),
         })
@@ -538,8 +529,8 @@ impl TraceAnalysis {
         }
         if let Some(b) = self.batch_fill_digest() {
             out.push_str(&format!(
-                "batch fill: n={} mean={:.2} min={:.0} max={:.0} regens={:.0} stored={:.0}\n",
-                b.batches, b.fill_mean, b.fill_min, b.fill_max, b.regens, b.stored_reads
+                "batch fill: n={} mean={:.2} min={:.0} max={:.0}\n",
+                b.batches, b.fill_mean, b.fill_min, b.fill_max
             ));
         }
         if !self.counters.is_empty() {
@@ -638,8 +629,6 @@ impl TraceAnalysis {
                     ("fill_mean".to_string(), Json::Num(b.fill_mean)),
                     ("fill_min".to_string(), Json::Num(b.fill_min)),
                     ("fill_max".to_string(), Json::Num(b.fill_max)),
-                    ("regens".to_string(), Json::Num(b.regens)),
-                    ("stored_reads".to_string(), Json::Num(b.stored_reads)),
                     (
                         "span_ms".to_string(),
                         Json::Num((b.last_ts_us - b.first_ts_us) / 1e3),
@@ -913,20 +902,8 @@ mod tests {
     #[test]
     fn batch_instants_build_the_fill_digest() {
         let text = doc(&[
-            aev(
-                "serve.batch",
-                "n",
-                100.0,
-                1,
-                "\"fill\":4,\"epoch\":2,\"regens\":900,\"stored_reads\":100",
-            ),
-            aev(
-                "serve.batch",
-                "n",
-                300.0,
-                2,
-                "\"fill\":8,\"epoch\":2,\"regens\":880,\"stored_reads\":120",
-            ),
+            aev("serve.batch", "n", 100.0, 1, "\"fill\":4,\"epoch\":2"),
+            aev("serve.batch", "n", 300.0, 2, "\"fill\":8,\"epoch\":2"),
         ]);
         let a = analyze_chrome_trace(&text).expect("valid trace");
         assert_eq!(a.instants.len(), 2);
@@ -935,8 +912,6 @@ mod tests {
         assert!((d.fill_mean - 6.0).abs() < 1e-9);
         assert_eq!(d.fill_min, 4.0);
         assert_eq!(d.fill_max, 8.0);
-        assert_eq!(d.regens, 1780.0);
-        assert_eq!(d.stored_reads, 220.0);
         let j = a.to_json();
         let b = j.get("batches").unwrap();
         assert_eq!(b.get("count").and_then(Json::as_u64), Some(2));

@@ -104,7 +104,6 @@ const DETERMINISM_PATHS: &[&str] = &[
     "crates/core/src/crc.rs",
     "crates/core/src/chaos.rs",
     "crates/core/src/report.rs",
-    "crates/core/src/sparse_infer.rs",
     "crates/core/src/train_state.rs",
     "crates/nn/src/tracked.rs",
     "crates/telemetry/src/json.rs",
@@ -283,8 +282,7 @@ fn float_eq(ctx: &FileCtx, out: &mut Vec<Finding>) {
 const UNSAFE_PATHS: &[&str] = &["crates/tensor/src/pool.rs", "crates/tensor/src/simd.rs"];
 
 /// Library paths that make up the request/decode/replay flow: serve's
-/// HTTP surface, checkpoint decode, tracked-set validation, and streaming
-/// inference. A panic
+/// HTTP surface, checkpoint decode, and tracked-set validation. A panic
 /// here takes down a server or a resumable run on attacker-shaped or
 /// disk-corrupted input, so these files return typed errors — no
 /// unwrap/expect and no panicking macros, `unreachable!` included.
@@ -294,7 +292,6 @@ const PANIC_PATHS: &[&str] = &[
     "crates/core/src/ckpt_store.rs",
     "crates/core/src/crc.rs",
     "crates/core/src/chaos.rs",
-    "crates/core/src/sparse_infer.rs",
     "crates/core/src/train_state.rs",
     "crates/nn/src/tracked.rs",
 ];

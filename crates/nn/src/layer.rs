@@ -19,7 +19,11 @@ pub enum Mode {
 /// caches needed between `forward` and `backward` (input activations,
 /// dropout masks, pooling argmaxes, ...). A `backward` call must follow the
 /// `forward` call whose gradient it propagates.
-pub trait Layer {
+///
+/// Layers are `Send` so a whole [`crate::Network`] can move to (and be
+/// locked by) another thread, e.g. a server's batch worker evaluating a
+/// served generation.
+pub trait Layer: Send {
     /// Computes the layer output, caching whatever `backward` will need.
     fn forward(&mut self, x: &Tensor, ps: &ParamStore, mode: Mode) -> Tensor;
 

@@ -4,7 +4,7 @@
 //! the `k` tracked `(global index, value)` entries — every other weight
 //! regenerates from `regen(seed, index)`. [`TrackedSet`] is that set, and
 //! the one representation of it the workspace uses: optimizer capture,
-//! both checkpoint formats, streaming inference and serving all hold one.
+//! both checkpoint formats and serving all hold one.
 //!
 //! Entries are a sorted `Vec` with strictly ascending, unique indices,
 //! checked once at construction. Sorted order makes every walk over the
@@ -170,6 +170,21 @@ impl TrackedSet {
     pub fn overlay(&self, ps: &mut ParamStore) -> Result<(), TrackedError> {
         self.check_bounds(ps.len())?;
         ps.reset();
+        self.write_into(ps)
+    }
+
+    /// Writes each entry over `ps` and leaves every other parameter as it
+    /// is. On a freshly built store, whose parameters all hold their init
+    /// values, this densifies the set without [`TrackedSet::overlay`]'s
+    /// second regeneration of every init value. The store is untouched on
+    /// error.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TrackedError::OutOfRange`] if an index does not exist in
+    /// `ps`.
+    pub fn write_into(&self, ps: &mut ParamStore) -> Result<(), TrackedError> {
+        self.check_bounds(ps.len())?;
         let params = ps.params_mut();
         for &(i, w) in &self.entries {
             params[i as usize] = w;

@@ -7,7 +7,7 @@
 //! any [`Optimizer`] with that post-step. `repro_ablation_quant` sweeps the
 //! bit width over a DropBack run.
 
-use crate::Optimizer;
+use crate::{OptState, Optimizer, StateError};
 use dropback_nn::{ParamStore, TrackedSet};
 
 /// Uniform symmetric fake-quantizer for weight vectors.
@@ -151,6 +151,22 @@ impl<O: Optimizer> Optimizer for Quantized<O> {
     fn tracked(&self, ps: &ParamStore) -> Option<TrackedSet> {
         self.inner.tracked(ps)
     }
+
+    fn metrics(&self) -> Vec<(&'static str, f64)> {
+        self.inner.metrics()
+    }
+
+    /// The inner rule's state filed under this wrapper's name, so a
+    /// restore refuses a snapshot of the bare rule or of another width.
+    fn snapshot_state(&self) -> OptState {
+        self.inner.snapshot_state().renamed(&self.name)
+    }
+
+    fn restore_state(&mut self, state: &OptState) -> Result<(), StateError> {
+        state.expect_name(&self.name)?;
+        self.inner
+            .restore_state(&state.clone().renamed(self.inner.name()))
+    }
 }
 
 #[cfg(test)]
@@ -246,6 +262,50 @@ mod tests {
             }
             opt.end_epoch(epoch, &mut ps);
         }
+    }
+
+    #[test]
+    fn quantized_dropback_resumes_bit_identically() {
+        let store = || {
+            let mut ps = ParamStore::new(9);
+            ps.register("w", 200, InitScheme::lecun_normal(20));
+            ps
+        };
+        let rule = || Quantized::new(crate::DropBack::new(20), 8);
+        let (mut ps_a, mut ps_b) = (store(), store());
+        let (mut a, mut b) = (rule(), rule());
+        let mut rng = dropback_prng::Xorshift64::new(5);
+        for step in 0..40 {
+            if step == 20 {
+                // Resume `b` from a snapshot into a freshly built rule.
+                let state = b.snapshot_state();
+                assert_eq!(state.name(), "dropback+q8");
+                b = rule();
+                b.restore_state(&state).unwrap();
+                assert_eq!(b.metrics(), a.metrics());
+            }
+            let grads: Vec<f32> = (0..200).map(|_| rng.next_f32() * 2.0 - 1.0).collect();
+            for (ps, opt) in [(&mut ps_a, &mut a), (&mut ps_b, &mut b)] {
+                ps.zero_grads();
+                ps.grads_mut().copy_from_slice(&grads);
+                opt.step(ps, 0.1);
+            }
+        }
+        let bits = |ps: &ParamStore| ps.params().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&ps_a), bits(&ps_b), "resumed run diverged");
+
+        // The wrapper's name guards the restore.
+        let state = a.snapshot_state();
+        let mut other_width = Quantized::new(crate::DropBack::new(20), 4);
+        assert!(matches!(
+            other_width.restore_state(&state),
+            Err(StateError::NameMismatch { .. })
+        ));
+        let bare = crate::DropBack::new(20).snapshot_state();
+        assert!(matches!(
+            rule().restore_state(&bare),
+            Err(StateError::NameMismatch { .. })
+        ));
     }
 
     #[test]

@@ -132,6 +132,14 @@ impl OptState {
         &self.name
     }
 
+    /// The same fields tagged with another optimizer name — how a
+    /// wrapping rule (e.g. [`crate::Quantized`]) files its inner rule's
+    /// state under its own name.
+    pub fn renamed(mut self, name: &str) -> Self {
+        self.name = name.to_string();
+        self
+    }
+
     /// The fields in capture order.
     pub fn fields(&self) -> &[(String, StateField)] {
         &self.fields

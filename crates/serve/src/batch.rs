@@ -3,11 +3,9 @@
 //! Handler threads park each request in a bounded queue; a single batch
 //! worker drains it into one batched [`crate::ServingModel::infer`] call
 //! the moment either the batch is full or the oldest queued request has
-//! waited out the flush deadline. Batching is where DropBack serving wins
-//! big: the streaming evaluator walks the weights **once per batch** —
-//! one regeneration sweep amortized over every request in it — so batch
-//! fill shows up directly as regen traffic saved (`serve.batch_fill` vs
-//! `serve.requests` in the telemetry digest).
+//! waited out the flush deadline. The forward is one GEMM per layer over
+//! the generation's densified weights, so `n` riders share one pass
+//! (`serve.batch_fill` vs `serve.requests` in the telemetry digest).
 //!
 //! The model is resolved **at flush time**, not at submit time: a batch
 //! always evaluates against one single generation, so a hot-swap can
@@ -50,8 +48,8 @@ impl Default for BatchConfig {
 /// What a request gets back from a flushed batch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InferReply {
-    /// Class logits, bit-identical to a direct streaming forward on the
-    /// serving snapshot.
+    /// Class logits, bit-identical to the trainer's eval forward of the
+    /// network the serving snapshot was captured from.
     pub logits: Vec<f32>,
     /// Index of the largest logit (first wins ties).
     pub argmax: usize,
@@ -304,35 +302,22 @@ impl BatchQueue {
         collector.counter("serve.batches").inc();
         trace::record_counter("serve.batch_fill", n as f64);
 
+        // One instant per flushed batch: the fill/generation annotations
+        // the batch-fill digest in `dropback-trace` aggregates over time.
+        trace::async_instant(
+            "serve.batch",
+            batch_id,
+            &[("fill", n as f64), ("epoch", model.epoch() as f64)],
+        );
+
         match result {
-            Ok((y, stats)) => {
-                collector.counter("serve.regens").add(stats.regens);
-                collector
-                    .counter("serve.stored_reads")
-                    .add(stats.stored_reads);
-                // One instant per flushed batch: the fill/generation/regen
-                // annotations the batch-fill digest in `dropback-trace`
-                // aggregates over time.
-                trace::async_instant(
-                    "serve.batch",
-                    batch_id,
-                    &[
-                        ("fill", n as f64),
-                        ("epoch", model.epoch() as f64),
-                        ("regens", stats.regens as f64),
-                        ("stored_reads", stats.stored_reads as f64),
-                    ],
-                );
-                for (r, (_, _, reply, queue_ns)) in rows.into_iter().enumerate() {
-                    let logits = y.data()[r * out_dim..(r + 1) * out_dim].to_vec();
-                    let argmax = logits
-                        .iter()
-                        .enumerate()
-                        .max_by(|a, b| a.1.total_cmp(b.1).then(b.0.cmp(&a.0)))
-                        .map(|(i, _)| i)
-                        .unwrap_or(0);
+            Ok((y, argmaxes)) => {
+                let logits = y.data().chunks_exact(out_dim);
+                for (((_, _, reply, queue_ns), logits), argmax) in
+                    rows.into_iter().zip(logits).zip(argmaxes)
+                {
                     reply.fulfill(Ok(InferReply {
-                        logits,
+                        logits: logits.to_vec(),
                         argmax,
                         epoch: model.epoch(),
                         batch: n,
@@ -344,12 +329,10 @@ impl BatchQueue {
             }
             Err(e) => {
                 collector.counter("serve.batch_failed").inc();
-                trace::async_instant(
-                    "serve.batch",
-                    batch_id,
-                    &[("fill", n as f64), ("epoch", model.epoch() as f64)],
-                );
-                let msg = e.to_string();
+                let msg = match e {
+                    ServeError::BadRequest(msg) => msg,
+                    e => e.to_string(),
+                };
                 for (_, _, reply, _) in rows {
                     reply.fulfill(Err(ServeError::BadRequest(msg.clone())));
                 }

@@ -1,11 +1,11 @@
 //! One error type for the whole serving path.
 //!
 //! Every failure a request can hit — malformed HTTP, an unloadable
-//! snapshot, a model the streaming evaluator cannot serve, an overloaded
+//! snapshot, a model outside the servable zoo, an overloaded
 //! queue — flows through [`ServeError`] so handlers can map it onto an
 //! HTTP status in exactly one place ([`ServeError::http_status`]).
 
-use dropback::{CheckpointError, StreamError};
+use dropback::CheckpointError;
 use std::io;
 use std::path::PathBuf;
 
@@ -16,11 +16,9 @@ pub enum ServeError {
     Io(io::Error),
     /// The checkpoint store could not list or load snapshots.
     Checkpoint(CheckpointError),
-    /// The streaming evaluator rejected the model or the input.
-    Stream(StreamError),
     /// The snapshot directory holds no loadable snapshot.
     NoSnapshot(PathBuf),
-    /// The snapshot's architecture has no streaming-inference path.
+    /// The snapshot's architecture is not in the servable zoo.
     UnsupportedModel(String),
     /// The client sent something the server cannot act on (HTTP 400).
     BadRequest(String),
@@ -66,7 +64,6 @@ impl ServeError {
         match self {
             ServeError::Io(_) => "io",
             ServeError::Checkpoint(_) => "checkpoint",
-            ServeError::Stream(_) => "stream",
             ServeError::NoSnapshot(_) => "no-snapshot",
             ServeError::UnsupportedModel(_) => "unsupported-model",
             ServeError::BadRequest(_) => "bad-request",
@@ -84,7 +81,6 @@ impl std::fmt::Display for ServeError {
         match self {
             ServeError::Io(e) => write!(f, "I/O error: {e}"),
             ServeError::Checkpoint(e) => write!(f, "checkpoint error: {e}"),
-            ServeError::Stream(e) => write!(f, "streaming inference error: {e}"),
             ServeError::NoSnapshot(dir) => write!(
                 f,
                 "no loadable snapshot in {} — train with checkpointing enabled \
@@ -93,7 +89,7 @@ impl std::fmt::Display for ServeError {
             ),
             ServeError::UnsupportedModel(name) => write!(
                 f,
-                "model {name:?} has no streaming-inference path; serving supports \
+                "model {name:?} cannot be served; serving supports \
                  the MLP zoo entries (mnist-100-100, lenet-300-100)"
             ),
             ServeError::BadRequest(msg) => write!(f, "bad request: {msg}"),
@@ -127,12 +123,6 @@ impl From<io::Error> for ServeError {
 impl From<CheckpointError> for ServeError {
     fn from(e: CheckpointError) -> Self {
         ServeError::Checkpoint(e)
-    }
-}
-
-impl From<StreamError> for ServeError {
-    fn from(e: StreamError) -> Self {
-        ServeError::Stream(e)
     }
 }
 

@@ -8,9 +8,10 @@
 //!
 //! * loads snapshots through [`dropback::CheckpointStore`]
 //!   (newest-valid-first, reusing the corruption fallback),
-//! * reconstructs every untracked weight from `regen(seed, index)` via
-//!   the streaming [`dropback::StreamingModel`] evaluator — the dense
-//!   matrix is never materialized,
+//! * densifies each generation once — every untracked weight from
+//!   `regen(seed, index)`, the `k` entries written over them — and
+//!   answers every batch with the trainer's own eval forward, so served
+//!   logits are bit-identical to the trainer's ([`model`]),
 //! * **hot-swaps** the live model atomically when a newer snapshot
 //!   appears: in-flight requests finish on the old model, new requests
 //!   see the new one ([`watcher`]),

@@ -2,11 +2,12 @@
 //!
 //! A `DROPBKv2` snapshot carries `(model name, init seed, k tracked
 //! entries)`. [`ServingModel::from_state`] rebuilds the architecture from
-//! the model zoo, checks the entries' indices against it, and hands both
-//! to [`dropback::StreamingModel`] — every untracked weight is
-//! regenerated from `regen(seed, index)` at evaluation time, so the
-//! server's resident weight state is exactly the paper's deployment
-//! artifact, never a dense matrix.
+//! the model zoo (every weight at its regenerated init value), checks the
+//! entries' indices against it and writes the `k` entries over it. That
+//! densify runs once per generation; every batch after it is the
+//! trainer's own `Network::forward(x, Mode::Eval)` on the packed GEMM, so
+//! served logits are bit-identical to the trainer's eval logits. The
+//! snapshot on disk stays the paper's `(seed, k entries)` artifact.
 //!
 //! [`ModelSlot`] is the hot-swap point: requests clone out an
 //! `Arc<ServingModel>` and evaluate against that pinned instance, so a
@@ -15,30 +16,37 @@
 //! one.
 
 use crate::error::ServeError;
-use crate::rt::Swap;
-use dropback::{CheckpointError, StreamStats, StreamingModel, TrainState};
-use dropback_nn::{models, Network};
+use crate::rt::{Monitor, Swap};
+use dropback::{CheckpointError, TrainState};
+use dropback_nn::{models, Mode, Network};
+use dropback_telemetry::Stopwatch;
 use dropback_tensor::Tensor;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Architectures with a streaming-inference path, by zoo name.
-fn build_network(name: &str, seed: u64) -> Option<Network> {
+/// Servable architectures by zoo name, with their input and logit widths.
+fn build_network(name: &str, seed: u64) -> Option<(Network, usize, usize)> {
     match name {
-        "mnist-100-100" => Some(models::mnist_100_100(seed)),
-        "lenet-300-100" => Some(models::lenet_300_100(seed)),
+        "mnist-100-100" => Some((models::mnist_100_100(seed), 784, 10)),
+        "lenet-300-100" => Some((models::lenet_300_100(seed), 784, 10)),
         _ => None,
     }
 }
 
 /// One immutable, fully-loaded model generation.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ServingModel {
     name: String,
     epoch: usize,
     source: PathBuf,
     entries: usize,
-    stream: StreamingModel,
+    in_dim: usize,
+    out_dim: usize,
+    densify_ns: u64,
+    /// The densified network. Its forward caches activations and so takes
+    /// `&mut self`; only the single batch worker evaluates, so the lock is
+    /// uncontended.
+    net: Monitor<Network>,
 }
 
 impl ServingModel {
@@ -48,23 +56,27 @@ impl ServingModel {
     /// # Errors
     ///
     /// [`ServeError::UnsupportedModel`] for architectures outside the
-    /// streaming MLP zoo, [`ServeError::Checkpoint`] if an entry indexes
-    /// past the parameter store, [`ServeError::Stream`] if the evaluator
-    /// rejects the parameter layout.
+    /// servable MLP zoo, [`ServeError::Checkpoint`] if an entry indexes
+    /// past the parameter store.
     pub fn from_state(state: &TrainState, source: impl Into<PathBuf>) -> Result<Self, ServeError> {
-        let net = build_network(&state.model, state.init_seed)
+        let watch = Stopwatch::started();
+        let (mut net, in_dim, out_dim) = build_network(&state.model, state.init_seed)
             .ok_or_else(|| ServeError::UnsupportedModel(state.model.clone()))?;
+        // The store was just built at its init values, so writing the
+        // entries over it densifies the snapshot with one regen, not two.
         state
             .entries
-            .check_bounds(net.num_params())
+            .write_into(net.store_mut())
             .map_err(CheckpointError::from)?;
-        let stream = StreamingModel::new(net.store(), &state.entries)?;
         Ok(Self {
             name: state.model.clone(),
             epoch: state.progress.next_epoch,
             source: source.into(),
             entries: state.entries.len(),
-            stream,
+            in_dim,
+            out_dim,
+            densify_ns: watch.elapsed_ns().unwrap_or(0),
+            net: Monitor::new(net),
         })
     }
 
@@ -90,21 +102,40 @@ impl ServingModel {
 
     /// Input feature width requests must supply.
     pub fn in_dim(&self) -> usize {
-        self.stream.in_dim()
+        self.in_dim
     }
 
     /// Logit width of responses.
     pub fn out_dim(&self) -> usize {
-        self.stream.out_dim()
+        self.out_dim
     }
 
-    /// Batched forward over `x: [n, in_dim]` on the worker pool.
+    /// Nanoseconds [`ServingModel::from_state`] spent rebuilding and
+    /// densifying this generation (`serve.densify_ns`).
+    pub fn densify_ns(&self) -> u64 {
+        self.densify_ns
+    }
+
+    /// Batched eval forward over `x: [n, in_dim]`, returning the `[n,
+    /// out_dim]` logits and each row's predicted class, as the trainer's
+    /// `Network::predict` computes it (the first largest logit wins ties).
     ///
     /// # Errors
     ///
-    /// [`ServeError::Stream`] if `x` has the wrong shape.
-    pub fn infer(&self, x: &Tensor) -> Result<(Tensor, StreamStats), ServeError> {
-        Ok(self.stream.forward(x)?)
+    /// [`ServeError::BadRequest`] if `x` is not `[n, in_dim]`.
+    pub fn infer(&self, x: &Tensor) -> Result<(Tensor, Vec<usize>), ServeError> {
+        if x.rank() != 2 || x.shape()[1] != self.in_dim {
+            return Err(ServeError::BadRequest(format!(
+                "model {} (epoch {}) expects input shape [n, {}], got {:?}",
+                self.name,
+                self.epoch,
+                self.in_dim,
+                x.shape()
+            )));
+        }
+        let logits = self.net.with(|net| net.forward(x, Mode::Eval));
+        let argmax = logits.argmax_rows();
+        Ok((logits, argmax))
     }
 }
 
@@ -140,39 +171,88 @@ mod tests {
     use super::*;
     use dropback::{TrainProgress, TrainState};
     use dropback_optim::{DropBack, OptState, Optimizer, StateField};
+    use dropback_tensor::simd;
 
-    pub(crate) fn state_at(epoch: usize, seed: u64) -> TrainState {
+    /// A mnist-100-100 network after `epoch + 1` DropBack steps on a
+    /// fixed batch, with its optimizer.
+    fn trained(epoch: usize, seed: u64) -> (Network, DropBack) {
         let mut net = models::mnist_100_100(seed);
         let mut opt = DropBack::new(400);
-        opt.step(net.store_mut(), 0.0);
-        for i in 0..32 {
-            net.store_mut().params_mut()[i * 97] = epoch as f32 * 0.25 + i as f32 * 0.01;
+        let x = Tensor::from_fn(vec![16, 784], |i| ((i * 37 % 101) as f32) / 101.0);
+        let labels: Vec<usize> = (0..16).map(|i| i % 10).collect();
+        for _ in 0..=epoch {
+            net.loss_backward(&x, &labels);
+            opt.step(net.store_mut(), 0.1);
         }
+        (net, opt)
+    }
+
+    fn capture(net: &Network, opt: &DropBack, epoch: usize) -> TrainState {
         let progress = TrainProgress {
             next_epoch: epoch,
             ..TrainProgress::fresh()
         };
-        TrainState::capture(&net, &opt, 0x5EED, &progress)
+        TrainState::capture(net, opt, 0x5EED, &progress)
+    }
+
+    fn state_at(epoch: usize, seed: u64) -> TrainState {
+        let (net, opt) = trained(epoch, seed);
+        capture(&net, &opt, epoch)
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
     }
 
     #[test]
-    fn snapshot_reconstructs_to_the_exact_trained_params() {
-        let state = state_at(3, 77);
+    fn served_logits_are_the_training_networks_eval_logits() {
+        let (mut net, opt) = trained(3, 77);
+        let state = capture(&net, &opt, 3);
         let model = ServingModel::from_state(&state, "/tmp/state-00000003.dbk2").unwrap();
         assert_eq!(model.name(), "mnist-100-100");
         assert_eq!(model.epoch(), 3);
         assert_eq!(model.in_dim(), 784);
         assert_eq!(model.out_dim(), 10);
-        assert!(model.entries() >= 32);
+        assert_eq!(model.entries(), state.entries.len());
+        assert!(model.entries() > 0);
 
-        // The served forward must be bit-identical to streaming inference
-        // straight off the snapshot's entries.
-        let x = Tensor::filled(vec![2, 784], 0.03);
-        let (served, _) = model.infer(&x).unwrap();
-        let net = models::mnist_100_100(77);
-        let (direct, _) = dropback::stream_mlp_forward(net.store(), &state.entries, &x).unwrap();
-        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&served), bits(&direct));
+        let x256 = Tensor::from_fn(vec![256, 784], |i| ((i * 7919 % 997) as f32) / 997.0 - 0.3);
+        let rows = |n: usize| Tensor::from_vec(vec![n, 784], x256.data()[..n * 784].to_vec());
+        let (threads, simd) = (dropback_tensor::pool::threads(), simd::simd_active());
+        let mut first: Option<Vec<u32>> = None;
+        for (t, on) in [(1, false), (1, true), (4, false), (4, true)] {
+            dropback_tensor::pool::set_threads(t);
+            simd::set_simd(on);
+            let (served, argmax) = model.infer(&x256).unwrap();
+            assert_eq!(
+                bits(&served),
+                bits(&net.forward(&x256, Mode::Eval)),
+                "threads {t}, simd {on}"
+            );
+            assert_eq!(argmax, net.predict(&x256));
+            let want = first.get_or_insert_with(|| bits(&served));
+            assert_eq!(&bits(&served), want, "threads {t}, simd {on}");
+            // Rows do not interact: a micro-batch of the first n rows
+            // answers exactly those rows of the 256-row batch.
+            for n in [1, 2] {
+                let (small, _) = model.infer(&rows(n)).unwrap();
+                assert_eq!(bits(&small), bits(&net.forward(&rows(n), Mode::Eval)));
+                assert_eq!(bits(&small)[..], want[..n * 10], "batch {n}");
+            }
+        }
+        dropback_tensor::pool::set_threads(threads);
+        simd::set_simd(simd);
+    }
+
+    #[test]
+    fn input_shape_errors_are_typed_refusals() {
+        let model = ServingModel::from_state(&state_at(1, 5), "/tmp/x").unwrap();
+        for shape in [vec![2, 783], vec![784]] {
+            let x = Tensor::filled(shape.clone(), 0.1);
+            let err = model.infer(&x).unwrap_err();
+            assert!(matches!(err, ServeError::BadRequest(_)), "{shape:?}: {err}");
+            assert!(err.to_string().contains("[n, 784]"), "{err}");
+        }
     }
 
     #[test]
@@ -200,10 +280,8 @@ mod tests {
         assert_eq!(model.entries(), state.entries.len());
         let x = Tensor::filled(vec![3, 784], 0.02);
         let (served, _) = model.infer(&x).unwrap();
-        let net = models::mnist_100_100(31);
-        let (direct, _) = dropback::stream_mlp_forward(net.store(), &loaded.entries, &x).unwrap();
-        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&served), bits(&direct));
+        let (mut net, _) = trained(2, 31);
+        assert_eq!(bits(&served), bits(&net.forward(&x, Mode::Eval)));
     }
 
     #[test]

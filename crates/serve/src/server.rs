@@ -275,13 +275,14 @@ impl Server {
             collector.counter(name).add(0);
         }
         // Same for the per-stage histograms: the shutdown digest reports
-        // queue/infer/write percentiles even for a server that answered
-        // nothing.
+        // queue/infer/write/densify percentiles even for a server that
+        // answered nothing.
         for name in [
             "serve.request_ns",
             "serve.queue_ns",
             "serve.infer_ns",
             "serve.write_ns",
+            "serve.densify_ns",
         ] {
             let _ = collector.histogram(name);
         }
@@ -298,6 +299,9 @@ impl Server {
         collector
             .gauge("serve.model_epoch")
             .set(model.epoch() as f64);
+        collector
+            .histogram("serve.densify_ns")
+            .record(model.densify_ns() as f64);
         let slot = Arc::new(ModelSlot::new(model));
 
         let listener = TcpListener::bind(&cfg.addr)?;
@@ -488,22 +492,25 @@ fn shed_connection(stream: TcpStream, ctx: &Ctx) {
     // Bound the refusal write too: the accept loop must never block on a
     // peer that connected and went away.
     let _ = stream.set_write_timeout(Some(ctx.io_timeout));
-    let _ = respond(&mut stream, &Outcome::error(&ServeError::Overloaded), ctx);
+    let _ = respond(
+        &mut stream,
+        &Outcome::error(&ServeError::Overloaded),
+        ctx,
+        true,
+    );
 }
 
-/// Writes one response, attaching `Retry-After` to every shedding 503.
-fn respond(w: &mut impl Write, out: &Outcome, ctx: &Ctx) -> std::io::Result<()> {
+/// Writes one response, attaching `Retry-After` to every shedding 503
+/// and `Connection: close` when the server hangs up after it.
+fn respond(w: &mut impl Write, out: &Outcome, ctx: &Ctx, last: bool) -> std::io::Result<()> {
+    let mut extra = Vec::new();
     if out.status == 503 {
-        http::write_response_typed(
-            w,
-            out.status,
-            out.content_type,
-            &[("Retry-After", ctx.retry_after.clone())],
-            &out.body,
-        )
-    } else {
-        http::write_response_typed(w, out.status, out.content_type, &[], &out.body)
+        extra.push(("Retry-After", ctx.retry_after.clone()));
     }
+    if last {
+        extra.push(("Connection", "close".to_string()));
+    }
+    http::write_response_typed(w, out.status, out.content_type, &extra, &out.body)
 }
 
 /// Whether an error is the socket timing out (the slow-loris bound
@@ -570,7 +577,7 @@ fn serve_connection(mut reader: impl BufRead, mut writer: impl Write, ctx: &Ctx,
                 }
                 // Protocol garbage never earned a request id: the typed
                 // refusal goes out, but there is no request to log.
-                let _ = respond(&mut writer, &Outcome::error(&e), ctx);
+                let _ = respond(&mut writer, &Outcome::error(&e), ctx, true);
                 return;
             }
         };
@@ -582,9 +589,14 @@ fn serve_connection(mut reader: impl BufRead, mut writer: impl Write, ctx: &Ctx,
         let traced = trace::is_tracing();
         trace::async_begin_for(traced, "serve.req", req_id, &[("conn", conn_id as f64)]);
         let out = route(&req, ctx, req_id, traced);
+        // Decide whether this is the connection's last response before
+        // writing it, and say so in the response. A drain that lands after
+        // this point is seen by the next request, which is shed with a 503
+        // (and then closes) — never by a close the peer cannot see coming.
+        let last = close || ctx.shutdown.is_set();
         trace::async_begin_for(traced, "serve.write", req_id, &[]);
         let watch = Stopwatch::started();
-        let write_res = respond(&mut writer, &out, ctx);
+        let write_res = respond(&mut writer, &out, ctx, last);
         let write_ns = watch.elapsed_ns().unwrap_or(0);
         trace::async_end_for(traced, "serve.write", req_id, &[]);
         trace::async_end_for(
@@ -603,7 +615,7 @@ fn serve_connection(mut reader: impl BufRead, mut writer: impl Write, ctx: &Ctx,
             }
             return;
         }
-        if close || ctx.shutdown.is_set() {
+        if last {
             return;
         }
     }
@@ -787,7 +799,7 @@ fn infer(req: &Request, ctx: &Ctx, req_id: u64, traced: bool) -> Outcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::HttpClient;
+    use crate::client::{infer_body, HttpClient};
     use dropback::{TrainProgress, TrainState};
     use dropback_nn::models;
     use dropback_optim::{DropBack, Optimizer};
@@ -1127,14 +1139,23 @@ mod tests {
         let server = Server::start(ServerConfig::default(), seeded_store(&dir)).unwrap();
         let addr = server.addr();
         let mut client = HttpClient::connect(addr).unwrap();
-        assert_eq!(client.infer(&vec![0.5; 784]).unwrap().logits.len(), 10);
+        let first = client.post("/infer", &infer_body(&[0.5; 784])).unwrap();
+        assert_eq!(first.status, 200);
+        assert_eq!(first.header("connection"), None, "kept alive");
 
         // Start the drain, then send another request on the same
-        // keep-alive connection: it must be shed, not evaluated.
+        // keep-alive connection. The server decided to keep it open before
+        // the drain began, so the request is read and shed with a 503 that
+        // announces the close, never evaluated or dropped unanswered.
         server.trigger_shutdown();
         let reply = client.post("/infer", "{\"input\":[0.5]}").unwrap();
         assert_eq!(reply.status, 503);
         assert_eq!(reply.header("retry-after"), Some("1"));
+        assert_eq!(reply.header("connection"), Some("close"));
+        assert!(
+            client.get("/healthz").is_err(),
+            "the server hung up after the 503"
+        );
 
         let snap = server.stop();
         let counter = |name: &str| {

@@ -17,7 +17,8 @@
 //! `serve.watch_errors` (poll failures, split into
 //! `serve.watch_errors.io` — listing/socket-level — and
 //! `serve.watch_errors.decode` — a snapshot that would not parse).
-//! Gauge: `serve.model_epoch`.
+//! Gauge: `serve.model_epoch`. Histogram: `serve.densify_ns`, the time
+//! each swap spent rebuilding and densifying the new generation.
 //!
 //! A failing poll is **not** billed a bare poll interval: consecutive
 //! failures back off exponentially with seeded jitter
@@ -80,6 +81,9 @@ fn poll_once(
     match ServingModel::from_state(&state, source) {
         Ok(model) => {
             let epoch = model.epoch();
+            collector
+                .histogram("serve.densify_ns")
+                .record(model.densify_ns() as f64);
             slot.swap(Arc::new(model));
             collector.counter("serve.swaps").inc();
             collector.gauge("serve.model_epoch").set(epoch as f64);

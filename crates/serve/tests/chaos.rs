@@ -7,9 +7,9 @@
 //!   a fresh `/healthz` on a fresh connection answers 200,
 //! * overload is **shed, not queued to death** — refusals are `503` with
 //!   a `Retry-After` hint, counted under `serve.shed.*`,
-//! * whatever *does* get a 200 is **bit-identical** to streaming
-//!   inference run directly on the snapshot — faults may cost requests,
-//!   never answers,
+//! * whatever *does* get a 200 is **bit-identical** to the eval forward
+//!   of the training network the snapshot was captured from — faults may
+//!   cost requests, never answers,
 //! * shutdown under load **drains**: in-flight requests finish, late
 //!   arrivals are shed, and the digest says which was which.
 //!
@@ -19,7 +19,7 @@
 
 use dropback::telemetry::{Json, Telemetry};
 use dropback::{CheckpointStore, FaultAction, FaultPlan, TrainProgress, TrainState};
-use dropback_nn::models;
+use dropback_nn::{models, Mode, Network};
 use dropback_optim::{DropBack, Optimizer};
 use dropback_serve::{Backoff, BatchConfig, ChaosHook, HttpClient, Server, ServerConfig};
 use dropback_tensor::Tensor;
@@ -29,24 +29,24 @@ use std::path::PathBuf;
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
-/// A deterministic snapshot; logits depend on the seed.
-fn state_at(epoch: usize, seed: u64) -> TrainState {
+/// A deterministic training network and its epoch-1 snapshot; logits
+/// depend on the seed.
+fn trained(seed: u64) -> (Network, TrainState) {
     let mut net = models::mnist_100_100(seed);
     let mut opt = DropBack::new(500);
     opt.step(net.store_mut(), 0.0);
     let progress = TrainProgress {
-        next_epoch: epoch,
+        next_epoch: 1,
         ..TrainProgress::fresh()
     };
-    TrainState::capture(&net, &opt, seed, &progress)
+    let state = TrainState::capture(&net, &opt, seed, &progress);
+    (net, state)
 }
 
-/// Ground truth: streaming inference straight off the snapshot.
-fn direct_logits(state: &TrainState, input: &[f32]) -> Vec<f32> {
-    let net = models::mnist_100_100(state.init_seed);
+/// Ground truth: the training network's own eval forward.
+fn direct_logits(net: &mut Network, input: &[f32]) -> Vec<f32> {
     let x = Tensor::from_vec(vec![1, input.len()], input.to_vec());
-    let (y, _) = dropback::stream_mlp_forward(net.store(), &state.entries, &x).unwrap();
-    y.data().to_vec()
+    net.forward(&x, Mode::Eval).data().to_vec()
 }
 
 fn bits(v: &[f32]) -> Vec<u32> {
@@ -65,14 +65,15 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Boots a server over a freshly seeded snapshot dir.
-fn boot(tag: &str, seed: u64, cfg: ServerConfig) -> (Server, TrainState, PathBuf) {
+/// Boots a server over a freshly seeded snapshot dir, returning the
+/// training network the snapshot was captured from.
+fn boot(tag: &str, seed: u64, cfg: ServerConfig) -> (Server, Network, PathBuf) {
     let dir = tmp_dir(tag);
-    let state = state_at(1, seed);
+    let (net, state) = trained(seed);
     let mut store = CheckpointStore::open(&dir).unwrap().keep(10);
     store.save(&state, &mut Telemetry::disabled()).unwrap();
     let server = Server::start(cfg, CheckpointStore::open(&dir).unwrap().keep(10)).unwrap();
-    (server, state, dir)
+    (server, net, dir)
 }
 
 fn assert_live(addr: std::net::SocketAddr) {
@@ -189,10 +190,10 @@ fn overload_sheds_cleanly_and_successes_stay_bit_identical() {
         },
         ..ServerConfig::default()
     };
-    let (server, state, dir) = boot("flood", 0xF100D, cfg);
+    let (server, mut net, dir) = boot("flood", 0xF100D, cfg);
     let addr = server.addr();
     let input = probe_input(784);
-    let want = bits(&direct_logits(&state, &input));
+    let want = bits(&direct_logits(&mut net, &input));
 
     let clients = 12;
     let barrier = Arc::new(Barrier::new(clients));
@@ -255,10 +256,10 @@ fn graceful_drain_finishes_in_flight_work_and_sheds_late_arrivals() {
         },
         ..ServerConfig::default()
     };
-    let (server, state, dir) = boot("drain", 0xD0A1, cfg);
+    let (server, mut net, dir) = boot("drain", 0xD0A1, cfg);
     let addr = server.addr();
     let input = probe_input(784);
-    let want = bits(&direct_logits(&state, &input));
+    let want = bits(&direct_logits(&mut net, &input));
 
     // One request enters the queue and parks on the 80 ms flush window...
     let in_flight = {
@@ -298,10 +299,10 @@ fn injected_resets_are_recovered_by_backoff_retry_bit_identically() {
         ])))),
         ..ServerConfig::default()
     };
-    let (server, state, dir) = boot("reset", 0x2E5E7, cfg);
+    let (server, mut net, dir) = boot("reset", 0x2E5E7, cfg);
     let addr = server.addr();
     let input = probe_input(784);
-    let want = bits(&direct_logits(&state, &input));
+    let want = bits(&direct_logits(&mut net, &input));
 
     let mut backoff = Backoff::new(0xC4A05, Duration::from_millis(5), Duration::from_millis(50));
     let mut reply = None;
@@ -338,10 +339,10 @@ fn dribbled_responses_still_parse_and_match() {
         ])))),
         ..ServerConfig::default()
     };
-    let (server, state, dir) = boot("dribble", 0xD21B, cfg);
+    let (server, mut net, dir) = boot("dribble", 0xD21B, cfg);
     let addr = server.addr();
     let input = probe_input(784);
-    let want = bits(&direct_logits(&state, &input));
+    let want = bits(&direct_logits(&mut net, &input));
 
     let mut c = HttpClient::connect(addr).unwrap();
     let reply = c.infer(&input).unwrap();

@@ -1,15 +1,15 @@
 //! End-to-end hot-swap correctness over real HTTP.
 //!
 //! The contract under test: a reply from the server is bit-identical to
-//! streaming inference (`dropback::stream_mlp_forward`) run directly on
-//! the snapshot's `(seed, entries)` — for the boot checkpoint, for a
-//! newer checkpoint after a live hot swap, and *still* for the old
+//! the eval forward (`Network::forward(x, Mode::Eval)`) of the training
+//! network the snapshot was captured from — for the boot checkpoint, for
+//! a newer checkpoint after a live hot swap, and *still* for the old
 //! checkpoint when the newest file on disk is torn (the corruption
 //! fallback must skip it, never serve it).
 
 use dropback::telemetry::{Json, Telemetry};
 use dropback::{CheckpointStore, FaultInjector, FaultMode, TrainProgress, TrainState};
-use dropback_nn::models;
+use dropback_nn::{models, Mode, Network};
 use dropback_optim::{DropBack, Optimizer};
 use dropback_serve::{BatchConfig, HttpClient, InferReply, Server, ServerConfig};
 use dropback_tensor::Tensor;
@@ -17,15 +17,21 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-/// A deterministic snapshot whose weights depend visibly on `epoch`, so
-/// generations produce different logits.
-fn state_at(epoch: usize, seed: u64) -> TrainState {
+/// A deterministic training network whose weights depend visibly on
+/// `epoch`, so generations produce different logits.
+fn trained(epoch: usize, seed: u64) -> (Network, DropBack) {
     let mut net = models::mnist_100_100(seed);
     let mut opt = DropBack::new(500);
     opt.step(net.store_mut(), 0.0);
     for i in 0..64 {
         net.store_mut().params_mut()[i * 139] = epoch as f32 * 0.5 + i as f32 * 0.02 - 0.3;
     }
+    (net, opt)
+}
+
+/// The snapshot of [`trained`]`(epoch, seed)`.
+fn state_at(epoch: usize, seed: u64) -> TrainState {
+    let (net, opt) = trained(epoch, seed);
     let progress = TrainProgress {
         next_epoch: epoch,
         ..TrainProgress::fresh()
@@ -33,13 +39,12 @@ fn state_at(epoch: usize, seed: u64) -> TrainState {
     TrainState::capture(&net, &opt, seed, &progress)
 }
 
-/// Ground truth: streaming inference straight off the snapshot, no
-/// server involved.
-fn direct_logits(state: &TrainState, input: &[f32]) -> Vec<f32> {
-    let net = models::mnist_100_100(state.init_seed);
+/// Ground truth: the training network's own eval forward, no snapshot
+/// and no server involved.
+fn direct_logits(epoch: usize, seed: u64, input: &[f32]) -> Vec<f32> {
+    let (mut net, _) = trained(epoch, seed);
     let x = Tensor::from_vec(vec![1, input.len()], input.to_vec());
-    let (y, _) = dropback::stream_mlp_forward(net.store(), &state.entries, &x).unwrap();
-    y.data().to_vec()
+    net.forward(&x, Mode::Eval).data().to_vec()
 }
 
 fn bits(v: &[f32]) -> Vec<u32> {
@@ -125,15 +130,15 @@ fn replies_stay_bit_identical_to_direct_inference_across_swaps_and_corruption() 
     let addr = server.addr();
     let input = probe_input(784);
 
-    // Phase 1: the boot checkpoint serves exactly what direct streaming
-    // inference computes from (seed, entries).
+    // Phase 1: the boot checkpoint serves exactly what the training
+    // network's eval forward computes.
     let mut client = HttpClient::connect(addr).unwrap();
     let reply: InferReply = client.infer(&input).unwrap();
     assert_eq!(reply.epoch, 1);
     assert_eq!(reply.logits.len(), 10);
     assert_eq!(
         bits(&reply.logits),
-        bits(&direct_logits(&state1, &input)),
+        bits(&direct_logits(1, seed, &input)),
         "served logits must be bit-identical to direct inference (epoch 1)"
     );
 
@@ -146,7 +151,7 @@ fn replies_stay_bit_identical_to_direct_inference_across_swaps_and_corruption() 
     assert_eq!(reply2.epoch, 2);
     assert_eq!(
         bits(&reply2.logits),
-        bits(&direct_logits(&state2, &input)),
+        bits(&direct_logits(2, seed, &input)),
         "served logits must be bit-identical to direct inference (epoch 2)"
     );
     assert_ne!(
@@ -185,6 +190,12 @@ fn replies_stay_bit_identical_to_direct_inference_across_swaps_and_corruption() 
             .unwrap_or(0)
     };
     assert_eq!(dig_counter("serve.swaps"), 1);
+    let densified = json
+        .get("histograms")
+        .and_then(|h| h.get("serve.densify_ns"))
+        .and_then(|h| h.get("count"))
+        .and_then(|c| c.as_u64());
+    assert_eq!(densified, Some(2), "one densify at boot, one per swap");
     assert!(dig_counter("serve.swap_rejected") >= 1);
     assert!(dig_counter("serve.requests") >= 3);
     let _ = std::fs::remove_dir_all(&dir);
@@ -211,7 +222,7 @@ fn requests_in_flight_during_a_swap_complete_on_a_single_generation() {
     let server = Server::start(cfg, CheckpointStore::open(&dir).unwrap().keep(10)).unwrap();
     let addr = server.addr();
     let expect: Vec<Vec<u32>> = (1..=2)
-        .map(|e| bits(&direct_logits(&state_at(e, seed), &probe_input(784))))
+        .map(|e| bits(&direct_logits(e, seed, &probe_input(784))))
         .collect();
 
     // Hammer /infer from several closed-loop clients while the snapshot

@@ -257,9 +257,10 @@ done
 echo "== perfbench gate (benchmark tests, then short runs must be correct)"
 # The benchmark is a workspace of its own, so `cargo test --workspace`
 # does not reach it. The short runs check, over every index, that exactly
-# k weights are tracked and every untracked weight equals its init value.
+# k weights are tracked and every untracked weight equals its init value;
+# the serve runs also check every reply's logits bit for bit.
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
-for workload in mlp-rank mlp-frozen; do
+for workload in mlp-rank mlp-frozen conv-vgg serve-read serve-swap; do
     OUT="$SERVE_TMP/perfbench-$workload.json"
     if ! cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 1 --trace 0 > "$OUT"; then
